@@ -73,7 +73,7 @@ func run(ctx context.Context) error {
 		lease     = flag.Duration("lease", 30*time.Second, "job lease duration (claims lapse without heartbeats)")
 		accessLog = flag.String("access-log", "", "append one JSON line per request to this file (empty = off)")
 		flightN   = flag.Int("flight", 512, "flight recorder ring size (0 = disabled)")
-		shards    = flag.Int("journal-shards", 0, "hash-shard the job journal across this many files (0 = one file)")
+		shards    = flag.Int("journal-shards", 0, "hash-shard the job journal across this many files (0 or 1 = one file)")
 		groupCmt  = flag.Duration("group-commit", 0, "batch journal fsyncs into one flush per window (0 = fsync every transition)")
 	)
 	flag.Parse()

@@ -28,8 +28,11 @@
 // # Distributed sweeps
 //
 // A coordinator leases cells to remote workers over HTTP; workers claim,
-// heartbeat, and return cell results. A worker that dies mid-cell stops
-// heartbeating, its lease expires, and the cell is stolen by a survivor.
+// heartbeat, and return cell results in batches (one cell per batch by
+// default; -lease-batch N claims N per round trip, settled per item). A
+// worker that dies mid-cell stops heartbeating, its lease expires, and
+// the cell is stolen by a survivor; an interrupted worker releases the
+// cells it has not run so they are claimable at once.
 //
 //	sweep -serve 127.0.0.1:9180 -journal grid.jsonl > grid.csv
 //	sweep -connect http://127.0.0.1:9180 -worker-name w1 &
@@ -44,12 +47,11 @@
 // journaled, settled cells are evicted from memory (the journal holds
 // the results; the final CSV streams them back out), so coordinator
 // memory is O(active cells), not O(grid). Three flags tune the path:
-// -shards N hash-shards the journal across N files, -group-commit d
-// batches fsyncs into one flush per window (appends are still written
-// through, so a process kill loses nothing), and workers pass
-// -lease-batch N to claim/heartbeat/finish N cells per HTTP round-trip
-// with per-item settlement. All default off; -resume migrates a journal
-// between layouts and refuses a journal written for a different grid.
+// -shards N hash-shards the journal across N files (default one),
+// -group-commit d batches fsyncs into one flush per window (appends are
+// still written through, so a process kill loses nothing; default off),
+// and workers pass -lease-batch N. -resume migrates a journal between
+// shard counts and refuses a journal written for a different grid.
 package main
 
 import (
@@ -89,7 +91,7 @@ func run(ctx context.Context) error {
 		cpuProfile   = flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 		journalPath  = flag.String("journal", "", "journal grid cells to this JSONL file (resumable)")
 		resume       = flag.Bool("resume", false, "continue an existing -journal instead of refusing to overwrite it")
-		shards       = flag.Int("shards", 0, "hash-shard the journal across this many files (0 = one file)")
+		shards       = flag.Int("shards", 0, "hash-shard the journal across this many files (0 or 1 = one file)")
 		groupCommit  = flag.Duration("group-commit", 0, "batch journal fsyncs into one flush per window (0 = fsync every transition)")
 		serveAddr    = flag.String("serve", "", "coordinator mode: lease cells to HTTP workers on this address")
 		connectURL   = flag.String("connect", "", "worker mode: claim cells from this coordinator URL")
@@ -330,16 +332,13 @@ loop:
 // returns results, heartbeating at a third of the coordinator's lease.
 // It exits when the coordinator reports the grid settled, keeps polling
 // through empty claims, and tolerates an unreachable coordinator only
-// before first contact (it retries ~10s, then gives up). With batch > 1
-// it leases batch cells per round trip and settles them with one
-// finish-batch request — the amortized protocol for grids whose cells
-// are much shorter than a network round trip.
+// before first contact (it retries ~10s, then gives up). It leases up to
+// batch cells per round trip (a batch of one by default) and settles
+// each batch with one finish-batch request; larger batches amortize the
+// round trip for grids whose cells are much shorter than it.
 func runWorker(ctx context.Context, base, name string, batch int) error {
 	if name == "" {
 		name = fmt.Sprintf("worker-%d", os.Getpid())
-	}
-	if batch < 1 {
-		batch = 1
 	}
 	client := &httpapi.LeaseClient[experiments.GridCell]{Base: strings.TrimRight(base, "/")}
 	contacted := false
@@ -349,21 +348,7 @@ func runWorker(ctx context.Context, base, name string, batch int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		var (
-			tasks   []distwork.Task[experiments.GridCell]
-			settled bool
-			lease   time.Duration
-			err     error
-		)
-		if batch > 1 {
-			tasks, settled, lease, err = client.ClaimBatch(ctx, name, batch)
-		} else {
-			var task *distwork.Task[experiments.GridCell]
-			task, settled, lease, err = client.Claim(ctx, name)
-			if task != nil {
-				tasks = []distwork.Task[experiments.GridCell]{*task}
-			}
-		}
+		tasks, settled, lease, err := client.ClaimBatch(ctx, name, batch)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -393,17 +378,10 @@ func runWorker(ctx context.Context, base, name string, batch int) error {
 			}
 			continue
 		}
-		if batch > 1 {
-			n, err := runClaimedBatch(ctx, client, name, tasks, lease)
-			cells += n
-			if err != nil {
-				return err
-			}
-		} else {
-			if err := runClaimedCell(ctx, client, name, tasks[0], lease); err != nil {
-				return err
-			}
-			cells++
+		n, err := runClaimedBatch(ctx, client, name, tasks, lease)
+		cells += n
+		if err != nil {
+			return err
 		}
 	}
 }
@@ -411,9 +389,11 @@ func runWorker(ctx context.Context, base, name string, batch int) error {
 // runClaimedBatch executes a batch of leased cells sequentially: one
 // background ticker heartbeats every still-claimed cell in a single
 // request, results accumulate locally, and one finish-batch call
-// settles everything at the end. A stolen cell's 409 is tolerated per
-// item (the newer claim's result wins); an interrupt releases the cells
-// that never ran after delivering the results already computed.
+// settles everything at the end. A cell that fails settles as failed
+// and its batch-mates still run (the coordinator surfaces the error
+// after the grid settles). A stolen cell's 409 is tolerated per item
+// (the newer claim's result wins); an interrupt releases the cells that
+// never ran after delivering the results already computed.
 func runClaimedBatch(ctx context.Context, client *httpapi.LeaseClient[experiments.GridCell], name string, tasks []distwork.Task[experiments.GridCell], lease time.Duration) (int, error) {
 	ids := make([]string, len(tasks))
 	for i, t := range tasks {
@@ -500,67 +480,6 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-time.After(d):
 		return true
 	}
-}
-
-// runClaimedCell executes one leased cell: heartbeat in the background,
-// simulate, settle. On shutdown mid-cell the claim is released so
-// another worker picks it up immediately instead of waiting out the
-// lease.
-func runClaimedCell(ctx context.Context, client *httpapi.LeaseClient[experiments.GridCell], name string, task distwork.Task[experiments.GridCell], lease time.Duration) error {
-	hbCtx, stopHB := context.WithCancel(context.Background())
-	defer stopHB()
-	go func() {
-		tick := time.NewTicker(lease / 3)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbCtx.Done():
-				return
-			case <-tick.C:
-				if err := client.Heartbeat(hbCtx, task.ID, name); err != nil {
-					return // lease lost: the coordinator gave the cell away
-				}
-			}
-		}
-	}()
-	pt, err := experiments.RunCell(ctx, task.Payload)
-	stopHB()
-	if err != nil {
-		if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
-			relCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-			defer cancel()
-			_ = client.Release(relCtx, task.ID, name, fmt.Sprintf("worker %s interrupted; requeued", name))
-			return ctx.Err()
-		}
-		// Cell-level failure: settle it as failed and keep claiming —
-		// other cells may still succeed, and the coordinator surfaces the
-		// error after the grid settles.
-		finCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if ferr := client.Finish(finCtx, task.ID, name, "", err.Error()); ferr != nil {
-			var st *httpapi.LeaseStatusError
-			if !errors.As(ferr, &st) || st.Status != http.StatusConflict {
-				return ferr
-			}
-		}
-		return nil
-	}
-	enc, err := experiments.EncodeCellResult(pt)
-	if err != nil {
-		return err
-	}
-	// Settle with a fresh context: if shutdown raced the finish, the
-	// result is already computed and worth delivering.
-	finCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := client.Finish(finCtx, task.ID, name, enc, ""); err != nil {
-		var st *httpapi.LeaseStatusError
-		if errors.As(err, &st) && st.Status == http.StatusConflict {
-			return nil // lease expired mid-run and the cell was stolen; the newer claim wins
-		}
-		return err
-	}
-	return nil
 }
 
 func progHook(prog *telemetry.CellProgress) func() {

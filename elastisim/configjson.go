@@ -35,6 +35,9 @@ type configDoc struct {
 // affects simulation semantics. Host-side attachments (telemetry sinks,
 // progress tickers, profiling) are deliberately absent — they are wired by
 // the process running the simulation, not by the document describing it.
+// So are the reference oracles ForceFullSolve and ForceHeapQueue: they
+// change no output by contract and exist for equivalence tests, so a
+// document naming them is refused as an unknown field.
 type configOptions struct {
 	InvocationInterval Quantity `json:"invocation_interval,omitempty"`
 	DisableEventDriven bool     `json:"disable_event_driven,omitempty"`
@@ -46,8 +49,6 @@ type configOptions struct {
 	TraceTasks      bool     `json:"trace_tasks,omitempty"`
 	Horizon         Quantity `json:"horizon,omitempty"`
 	DisableFastPath bool     `json:"disable_fast_path,omitempty"`
-	ForceFullSolve  bool     `json:"force_full_solve,omitempty"`
-	ForceHeapQueue  bool     `json:"force_heap_queue,omitempty"`
 }
 
 // fairnessNames maps the serialized fairness policy names to fluid values.
@@ -110,8 +111,6 @@ func ParseConfig(data []byte) (Config, error) {
 			TraceTasks:         o.TraceTasks,
 			Horizon:            float64(o.Horizon),
 			DisableFastPath:    o.DisableFastPath,
-			ForceFullSolve:     o.ForceFullSolve,
-			ForceHeapQueue:     o.ForceHeapQueue,
 		}
 		if o.Fairness != "" {
 			f, ok := fairnessNames[o.Fairness]
@@ -143,8 +142,8 @@ func algorithmKey(a Algorithm) (string, error) {
 
 // MarshalConfig serializes a Config into the combined document form.
 // Custom (non-built-in) algorithms cannot be serialized and return an
-// error; host-side attachments in Options (telemetry, progress) are not
-// part of the document and are ignored.
+// error; host-side attachments in Options (telemetry, progress) and the
+// reference oracles are not part of the document and are ignored.
 func MarshalConfig(cfg Config) ([]byte, error) {
 	if cfg.Platform == nil || cfg.Workload == nil {
 		return nil, fmt.Errorf("elastisim: config needs a platform and a workload")
@@ -175,8 +174,6 @@ func MarshalConfig(cfg Config) ([]byte, error) {
 		TraceTasks:         o.TraceTasks,
 		Horizon:            Quantity(o.Horizon),
 		DisableFastPath:    o.DisableFastPath,
-		ForceFullSolve:     o.ForceFullSolve,
-		ForceHeapQueue:     o.ForceHeapQueue,
 	}
 	if o.Fairness != fluid.MaxMin {
 		co.Fairness = o.Fairness.String()

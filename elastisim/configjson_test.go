@@ -81,13 +81,12 @@ const fullConfigDoc = `{
   },
   "options": {
     "invocation_interval": 30,
-    "disable_event_driven": false,
+    "disable_event_driven": true,
     "fairness": "equal-split",
     "trace": true,
     "trace_tasks": true,
     "horizon": "100k",
-    "disable_fast_path": true,
-    "force_full_solve": true
+    "disable_fast_path": true
   }
 }`
 
@@ -220,6 +219,10 @@ func TestParseConfigErrors(t *testing.T) {
 		{"bad algorithm", fullConfigSnippet(`"algorithm": "quantum"`), "unknown algorithm"},
 		{"bad fairness", fullConfigSnippet(`"options": {"fairness": "round-robin"}`), "fairness"},
 		{"negative horizon", fullConfigSnippet(`"options": {"horizon": -5}`), "horizon"},
+		// The reference oracles are Go-only test switches, not document
+		// options.
+		{"oracle force_full_solve", fullConfigSnippet(`"options": {"force_full_solve": true}`), `unknown field "force_full_solve"`},
+		{"oracle force_heap_queue", fullConfigSnippet(`"options": {"force_heap_queue": true}`), `unknown field "force_heap_queue"`},
 	}
 	for _, tc := range cases {
 		_, err := ParseConfig([]byte(tc.doc))

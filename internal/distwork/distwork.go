@@ -182,9 +182,9 @@ type Options[P any] struct {
 	// pre-existing daemon journals replay byte-compatibly.
 	Codec Codec[P]
 	// Shards splits the journal into N hash-sharded files (shard 0 at
-	// path, shard k at path.s00k, each with a layout header line). 0
-	// keeps the legacy single-file format byte-identical. Reopening with
-	// a different count re-shards during the compaction rewrite.
+	// path, shard k at path.s00k, each with a layout header line). 0 or
+	// 1 is one headered file. Reopening with a different count re-shards
+	// during the compaction rewrite.
 	Shards int
 	// GroupCommit batches journal fsyncs: appends are flushed to the OS
 	// per transition (a killed process loses nothing) but fsynced once
@@ -311,8 +311,9 @@ func New[P any](opts Options[P]) *Store[P] {
 // never re-run; tasks that were claimed, running, or paused when the
 // previous process died return to pending. The journal is compacted on
 // open (counted by the <prefix>_journal_compactions_total metric) into
-// the layout opts requests — Shards=0 keeps the legacy single file;
-// otherwise the rewrite hash-shards (or re-shards) the records.
+// the shard count opts requests: the rewrite hash-shards (or re-shards)
+// the records, and migrates a header-less journal written by earlier
+// releases into the headered layout.
 //
 // With Options.Evict the replay itself streams: terminal tasks are
 // never materialized — their compacted records' locations go to
@@ -335,14 +336,10 @@ func Open[P any](path string, opts Options[P]) (*Store[P], error) {
 		meta = lay.meta // carry an existing fingerprint forward
 	}
 	cfg := journalConfig{
-		path:    path,
-		sharded: s.opts.Shards > 0,
-		nsh:     s.opts.Shards,
-		meta:    meta,
-		group:   s.opts.GroupCommit,
-	}
-	if cfg.nsh < 1 {
-		cfg.nsh = 1
+		path:  path,
+		nsh:   max(s.opts.Shards, 1),
+		meta:  meta,
+		group: s.opts.GroupCommit,
 	}
 	var jr *journal
 	if s.opts.Evict {
@@ -553,7 +550,7 @@ func (s *Store[P]) settledBit(seq uint64) bool {
 }
 
 // PrevJournalMeta reports the work-set fingerprint found in the journal
-// before this open ("" for a fresh or legacy journal).
+// before this open ("" for a fresh or header-less journal).
 func (s *Store[P]) PrevJournalMeta() string { return s.prevMeta }
 
 // ReadRecord decodes the journal record at loc — the way a consumer of

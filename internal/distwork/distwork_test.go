@@ -346,9 +346,9 @@ func TestCompactionAndMetrics(t *testing.T) {
 	s.MarkRunning(task.ID, "w1")
 	s.Finish(task.ID, "w1", "r", nil)
 	s.Close()
-	// Four transitions → four journal lines before compaction.
-	if lines := countLines(path); lines != 4 {
-		t.Fatalf("journal lines before compaction: got %d, want 4", lines)
+	// Header plus four transitions → five journal lines before compaction.
+	if lines := countLines(path); lines != 5 {
+		t.Fatalf("journal lines before compaction: got %d, want 5", lines)
 	}
 	if v := reg.Counter("distwork_journal_compactions_total").Value(); v != 1 {
 		t.Fatalf("compactions after first open: got %v, want 1", v)
@@ -359,8 +359,8 @@ func TestCompactionAndMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if lines := countLines(path); lines != 1 {
-		t.Fatalf("journal lines after compaction: got %d, want 1", lines)
+	if lines := countLines(path); lines != 2 {
+		t.Fatalf("journal lines after compaction: got %d, want 2 (header + record)", lines)
 	}
 	if v := reg2.Counter("distwork_journal_compactions_total").Value(); v != 1 {
 		t.Fatalf("compactions on reopen: got %v, want 1", v)

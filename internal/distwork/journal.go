@@ -22,17 +22,13 @@ import (
 // make the journal greppable operational evidence: `grep t000017
 // journal.jsonl` is the task's complete history.
 //
-// # Sharded layout
+// # Layout
 //
-// With Options.Shards == 0 the journal is a single file at path — the
-// legacy format, byte-identical to what earlier releases wrote, which
-// is what keeps pre-existing daemon journals replaying unchanged.
-//
-// With Options.Shards == N >= 1 the journal is N files: shard 0 at
+// The journal is N >= 1 files (Options.Shards; 0 means 1): shard 0 at
 // path, shard k at path.s00k. Records are assigned to shards by an FNV
 // hash of the task id, so one id's history lives entirely in one file
-// and per-file "last record wins" replay stays correct. Every sharded
-// file begins with a header line
+// and per-file "last record wins" replay stays correct. Every file
+// begins with a header line
 //
 //	{"journal_shards":N,"shard":K,"meta":"..."}
 //
@@ -44,15 +40,19 @@ import (
 //
 // Reopening with a different shard count is allowed — replay reads the
 // layout the files declare, and the compaction rewrite re-hashes every
-// record into the newly requested layout (including migrating a legacy
-// single-file journal into shards, or collapsing shards back into one
-// file).
+// record into the newly requested layout. Earlier releases wrote a
+// single file without a header; replay still reads one, and the rewrite
+// on open migrates it to the headered layout.
+//
+// Compaction creates every shard file of a layout, so a listed shard
+// that is missing on reopen means lost records: Open fails with a
+// MissingShardError rather than replaying a partial task set.
 //
 // # Group commit
 //
 // With Options.GroupCommit == 0 every append is written, flushed, and
-// fsynced before the transition returns — the legacy behavior, durable
-// against OS crashes at one fsync per settlement. With a window > 0,
+// fsynced before the transition returns — durable against OS crashes at
+// one fsync per settlement. With a window > 0,
 // appends are written and flushed to the OS immediately (so a killed
 // process still loses nothing) but fsync is batched: a background
 // syncer flushes dirty shards every window, amortizing one fsync over
@@ -94,8 +94,8 @@ type RecLoc struct {
 	Len   int
 }
 
-// shardHeader is the first line of every sharded journal file. Shards
-// >= 1 distinguishes it from task records, which never carry the field.
+// shardHeader is the first line of every journal file. Shards >= 1
+// distinguishes it from task records, which never carry the field.
 type shardHeader struct {
 	Shards int    `json:"journal_shards"`
 	Shard  int    `json:"shard"`
@@ -104,16 +104,32 @@ type shardHeader struct {
 
 // journalConfig is the layout a journal is (re)written with.
 type journalConfig struct {
-	path    string
-	sharded bool // header + hash-sharded files; false = legacy single file
-	nsh     int  // number of shard files (1 when legacy)
-	meta    string
-	group   time.Duration // group-commit window; 0 = fsync per append
+	path  string
+	nsh   int // number of shard files, >= 1
+	meta  string
+	group time.Duration // group-commit window; 0 = fsync per append
+}
+
+// MissingShardError is Open's error for a journal whose header lists a
+// shard file that is not on disk. It names the lost file and, when a
+// compaction was interrupted between renames, the leftover temp file
+// that may still hold its records.
+type MissingShardError struct {
+	Path string // the shard file the layout lists
+	Tmp  string // Path + ".tmp" when it exists, else ""
+}
+
+func (e *MissingShardError) Error() string {
+	msg := fmt.Sprintf("distwork: journal shard %s is missing, so its records are lost", e.Path)
+	if e.Tmp != "" {
+		msg += fmt.Sprintf("; %s is left from an interrupted compaction and may hold them", e.Tmp)
+	}
+	return msg
 }
 
 // shardPath names shard k of a journal rooted at path. Shard 0 is path
-// itself, so the legacy single-file layout and a 1-shard layout share
-// the operator-visible name and `grep` habits keep working.
+// itself, so a one-shard journal keeps the operator-visible name and
+// `grep` habits keep working.
 func shardPath(path string, k int) string {
 	if k == 0 {
 		return path
@@ -158,14 +174,14 @@ type journal struct {
 
 // journalLayout is what detectLayout found on disk.
 type journalLayout struct {
-	exists  bool
-	sharded bool
-	nsh     int
-	meta    string
+	exists   bool
+	headered bool // false: a header-less single file from an earlier release
+	nsh      int
+	meta     string
 }
 
-// detectLayout inspects the journal rooted at path: absent (fresh),
-// legacy single file, or sharded (the shard-0 header declares the
+// detectLayout inspects the journal rooted at path: absent (fresh), a
+// header-less single file, or headered (the shard-0 header declares the
 // layout). The on-disk layout — not the caller's requested one — drives
 // replay; compaction then rewrites into the requested layout.
 func detectLayout(path string) (journalLayout, error) {
@@ -180,13 +196,13 @@ func detectLayout(path string) (journalLayout, error) {
 	r := bufio.NewReaderSize(f, 4096)
 	first, err := r.ReadString('\n')
 	if err != nil && first == "" {
-		return journalLayout{exists: true, nsh: 1}, nil // empty legacy file
+		return journalLayout{exists: true, nsh: 1}, nil // empty header-less file
 	}
 	if h, ok := parseShardHeader(first); ok {
 		if h.Shard != 0 {
 			return journalLayout{}, fmt.Errorf("distwork: journal %s header claims shard %d, want 0", path, h.Shard)
 		}
-		return journalLayout{exists: true, sharded: true, nsh: h.Shards, meta: h.Meta}, nil
+		return journalLayout{exists: true, headered: true, nsh: h.Shards, meta: h.Meta}, nil
 	}
 	return journalLayout{exists: true, nsh: 1}, nil
 }
@@ -207,8 +223,8 @@ func parseShardHeader(line string) (shardHeader, bool) {
 // in file order (shard by shard), with each record's location. The last
 // call per task id carries its authoritative state, because a given id
 // hashes to exactly one shard. A torn final line per file (crash
-// mid-append) is tolerated; anything else is corruption worth
-// surfacing.
+// mid-append) is tolerated; a missing shard file is a
+// MissingShardError; anything else is corruption worth surfacing.
 func replayLayout[P any](path string, lay journalLayout, codec Codec[P], fn func(t Task[P], loc RecLoc) error) error {
 	if !lay.exists {
 		return nil
@@ -217,8 +233,8 @@ func replayLayout[P any](path string, lay journalLayout, codec Codec[P], fn func
 		fp := shardPath(path, k)
 		f, err := os.Open(fp)
 		if err != nil {
-			if os.IsNotExist(err) && k > 0 {
-				continue // shard never created (or lost with its records)
+			if os.IsNotExist(err) {
+				return missingShard(fp)
 			}
 			return err
 		}
@@ -245,7 +261,7 @@ func replayShardFile[P any](f *os.File, fp string, k int, lay journalLayout, cod
 		if text == "" {
 			continue
 		}
-		if line == 1 && lay.sharded {
+		if line == 1 && lay.headered {
 			h, ok := parseShardHeader(text)
 			if !ok {
 				return fmt.Errorf("distwork: journal shard %s: missing shard header", fp)
@@ -276,6 +292,14 @@ func replayShardFile[P any](f *os.File, fp string, k int, lay journalLayout, cod
 		return fmt.Errorf("distwork: reading journal %s: %w", fp, err)
 	}
 	return nil
+}
+
+func missingShard(fp string) error {
+	e := &MissingShardError{Path: fp}
+	if _, err := os.Stat(fp + ".tmp"); err == nil {
+		e.Tmp = fp + ".tmp"
+	}
+	return e
 }
 
 // replayJournal reconstructs the resident task set from the journal at
@@ -356,19 +380,16 @@ func newCompactor(cfg journalConfig) (*compactor, error) {
 		}
 		c.files = append(c.files, f)
 		c.ws = append(c.ws, bufio.NewWriter(f))
-		c.sizes = append(c.sizes, 0)
-		if cfg.sharded {
-			hdr, err := json.Marshal(shardHeader{Shards: cfg.nsh, Shard: k, Meta: cfg.meta})
-			if err != nil {
-				c.abort()
-				return nil, err
-			}
-			if err := writeRecord(c.ws[k], hdr); err != nil {
-				c.abort()
-				return nil, err
-			}
-			c.sizes[k] = int64(len(hdr)) + 1
+		hdr, err := json.Marshal(shardHeader{Shards: cfg.nsh, Shard: k, Meta: cfg.meta})
+		if err != nil {
+			c.abort()
+			return nil, err
 		}
+		if err := writeRecord(c.ws[k], hdr); err != nil {
+			c.abort()
+			return nil, err
+		}
+		c.sizes = append(c.sizes, int64(len(hdr))+1)
 	}
 	return c, nil
 }
@@ -418,9 +439,6 @@ func (c *compactor) finish() (*journal, error) {
 	// A narrower layout than before leaves higher-numbered shard files
 	// orphaned; shard names are contiguous, so remove until the first gap.
 	for k := c.cfg.nsh; ; k++ {
-		if k == 0 {
-			k = 1
-		}
 		if err := os.Remove(shardPath(c.cfg.path, k)); err != nil {
 			break
 		}

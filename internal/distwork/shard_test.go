@@ -74,13 +74,17 @@ func TestShardedJournalRecovery(t *testing.T) {
 	}
 }
 
+// oneShardHeader is the first line of a journal opened without a shard
+// count.
+const oneShardHeader = `{"journal_shards":1,"shard":0}`
+
 // TestJournalReshardOnReopen pins that the compaction rewrite migrates
-// between layouts: legacy → sharded, wider → narrower (removing the
-// orphaned files), and back to legacy.
+// between layouts: one headered file → 4 shards, wider → narrower
+// (removing the orphaned files), and back to one file.
 func TestJournalReshardOnReopen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "journal.jsonl")
-	s, err := Open(path, Options[int]{}) // legacy single file
+	s, err := Open(path, Options[int]{}) // Shards 0: one headered file
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +92,13 @@ func TestJournalReshardOnReopen(t *testing.T) {
 		s.Submit(i)
 	}
 	s.Close()
+	if first := firstLine(t, path); first != oneShardHeader {
+		t.Fatalf("default layout header: %q, want %q", first, oneShardHeader)
+	}
 
 	s2, err := Open(path, Options[int]{Shards: 4})
 	if err != nil {
-		t.Fatalf("legacy -> sharded: %v", err)
+		t.Fatalf("1 -> 4 shards: %v", err)
 	}
 	if got := len(s2.List()); got != 10 {
 		t.Fatalf("after resharding to 4: %d tasks, want 10", got)
@@ -116,20 +123,134 @@ func TestJournalReshardOnReopen(t *testing.T) {
 		t.Fatalf("stale shard 3 not removed: %v", err)
 	}
 
-	s4, err := Open(path, Options[int]{}) // back to legacy
+	s4, err := Open(path, Options[int]{})
 	if err != nil {
-		t.Fatalf("sharded -> legacy: %v", err)
+		t.Fatalf("2 -> 1 shard: %v", err)
 	}
 	defer s4.Close()
 	if got := len(s4.List()); got != 10 {
-		t.Fatalf("after collapsing to legacy: %d tasks, want 10", got)
+		t.Fatalf("after collapsing to one file: %d tasks, want 10", got)
 	}
 	if _, err := os.Stat(shardPath(path, 1)); !os.IsNotExist(err) {
 		t.Fatalf("stale shard 1 not removed: %v", err)
 	}
-	data, _ := os.ReadFile(path)
-	if strings.Contains(string(data), "journal_shards") {
-		t.Fatal("legacy journal must carry no shard header")
+	if first := firstLine(t, path); first != oneShardHeader {
+		t.Fatalf("collapsed journal header: %q, want %q", first, oneShardHeader)
+	}
+}
+
+func firstLine(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.SplitN(string(data), "\n", 2)[0]
+}
+
+// headerlessFixture is a journal in the header-less single-file layout
+// earlier releases wrote, by hand: t000001 settled done (after an
+// earlier pending record, so last-record-wins is exercised), t000002
+// failed, t000003 claimed by a worker that died, t000004 pending.
+const headerlessFixture = `{"id":"t000001","state":"pending","payload":10,"submitted":"2025-01-01T00:00:00Z","started":"0001-01-01T00:00:00Z","finished":"0001-01-01T00:00:00Z"}
+{"id":"t000002","state":"failed","payload":20,"submitted":"2025-01-01T00:00:01Z","started":"2025-01-01T00:00:05Z","finished":"2025-01-01T00:00:06Z","attempts":1,"error":"exploded"}
+{"id":"t000003","state":"claimed","payload":30,"submitted":"2025-01-01T00:00:02Z","started":"0001-01-01T00:00:00Z","finished":"0001-01-01T00:00:00Z","worker":"w-dead","lease":"2025-01-01T00:01:00Z","attempts":1}
+{"id":"t000004","state":"pending","payload":40,"submitted":"2025-01-01T00:00:03Z","started":"0001-01-01T00:00:00Z","finished":"0001-01-01T00:00:00Z"}
+{"id":"t000001","state":"done","payload":10,"submitted":"2025-01-01T00:00:00Z","started":"2025-01-01T00:00:04Z","finished":"2025-01-01T00:00:07Z","attempts":1,"result":"r10"}
+`
+
+// TestHeaderlessJournalMigrates pins that a header-less journal still
+// replays — finished tasks keep their results and are not handed out
+// again, the dead worker's claim is requeued — and that the rewrite on
+// open gives it the one-shard header. A second reopen is stable: same
+// tasks, same bytes.
+func TestHeaderlessJournalMigrates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(headerlessFixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(path, Options[int]{})
+	if err != nil {
+		t.Fatalf("open header-less journal: %v", err)
+	}
+	if got, _ := s.Get("t000001"); got.State != StateDone || got.Result != "r10" || got.Payload != 10 {
+		t.Fatalf("done task after migration: %+v", got)
+	}
+	if got, _ := s.Get("t000002"); got.State != StateFailed || got.Error != "exploded" {
+		t.Fatalf("failed task after migration: %+v", got)
+	}
+	if got, _ := s.Get("t000003"); got.State != StatePending || got.Worker != "" {
+		t.Fatalf("claimed task after migration: %+v (want requeued)", got)
+	}
+	s.Close()
+	if first := firstLine(t, path); first != oneShardHeader {
+		t.Fatalf("migrated journal header: %q, want %q", first, oneShardHeader)
+	}
+	migrated, _ := os.ReadFile(path)
+
+	s2, err := Open(path, Options[int]{})
+	if err != nil {
+		t.Fatalf("reopen migrated journal: %v", err)
+	}
+	defer s2.Close()
+	if again, _ := os.ReadFile(path); string(again) != string(migrated) {
+		t.Fatalf("second reopen rewrote the journal:\n%s\nwant:\n%s", again, migrated)
+	}
+	// Only the two unfinished tasks are claimable, in submission order.
+	var claimed []string
+	for {
+		task, ok := s2.TryClaim("w2")
+		if !ok {
+			break
+		}
+		claimed = append(claimed, task.ID)
+	}
+	if strings.Join(claimed, ",") != "t000003,t000004" {
+		t.Fatalf("claimable after migration: %v, want [t000003 t000004]", claimed)
+	}
+	if fresh, _ := s2.Submit(50); fresh.ID != "t000005" {
+		t.Fatalf("fresh id %s does not continue after the fixture", fresh.ID)
+	}
+}
+
+// TestJournalMissingShard pins that a listed shard file missing on
+// reopen is a named error naming the lost file (and a leftover .tmp from
+// an interrupted compaction) rather than a silently partial task set.
+func TestJournalMissingShard(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	s, err := Open(path, Options[int]{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		s.Submit(i)
+	}
+	s.Close()
+	lost := shardPath(path, 1)
+	if err := os.Remove(lost); err != nil {
+		t.Fatal(err)
+	}
+	for _, evict := range []bool{false, true} {
+		s2, err := Open(path, Options[int]{Shards: 2, Evict: evict})
+		if err == nil {
+			n := len(s2.List())
+			s2.Close()
+			t.Fatalf("evict=%v: reopen without %s succeeded with %d of 10 tasks", evict, lost, n)
+		}
+		var ms *MissingShardError
+		if !errors.As(err, &ms) || ms.Path != lost || ms.Tmp != "" {
+			t.Fatalf("evict=%v: error %v (%+v), want MissingShardError for %s", evict, err, ms, lost)
+		}
+	}
+	// A compaction that died between renames leaves the shard's records
+	// in a .tmp file; the error points at it.
+	if err := os.WriteFile(lost+".tmp", []byte(`{"journal_shards":2,"shard":1}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(path, Options[int]{Shards: 2})
+	var ms *MissingShardError
+	if !errors.As(err, &ms) || ms.Tmp != lost+".tmp" || !strings.Contains(err.Error(), lost+".tmp") {
+		t.Fatalf("error %v does not name the leftover %s.tmp", err, lost)
 	}
 }
 

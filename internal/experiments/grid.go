@@ -45,7 +45,7 @@ type GridOptions struct {
 	// new sweep onto an old one.
 	Resume bool
 	// Shards splits the journal into this many hash-sharded files
-	// (0 = single legacy file). See distwork.Options.Shards.
+	// (0 or 1 = one file). See distwork.Options.Shards.
 	Shards int
 	// GroupCommit batches journal fsyncs into one flush per window
 	// (0 = fsync every transition). See distwork.Options.GroupCommit.
@@ -185,15 +185,10 @@ func OpenGrid(path string, cfg SweepConfig, opts GridOptions) (*Grid, error) {
 	}
 	g.states = make([]byte, size)
 	g.locs = make([]distwork.RecLoc, size)
-	// Grids always journal in the headered (sharded) layout, even with a
-	// single shard: the header carries the grid fingerprint that makes
-	// resume-mismatch detection exact. Pre-header legacy journals are
-	// still readable and migrate on open.
 	sopts.Shards = opts.Shards
-	if sopts.Shards < 1 {
-		sopts.Shards = 1
-	}
 	sopts.GroupCommit = opts.GroupCommit
+	// The journal header carries the grid fingerprint that makes
+	// resume-mismatch detection exact.
 	sopts.Meta = gridMeta(dcfg)
 	sopts.Evict = true
 	sopts.OnSettled = g.noteSettled

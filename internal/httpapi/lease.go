@@ -20,22 +20,20 @@ import (
 // future distributed consumer of the distwork core gets wire transport
 // for free.
 //
-//	POST /v1/tasks/claim           claim the oldest pending task
-//	POST /v1/tasks/claim-batch     claim up to max pending tasks at once
+//	POST /v1/tasks/claim-batch     claim up to max pending tasks, oldest first
 //	POST /v1/tasks/heartbeat-batch renew many leases in one request
-//	POST /v1/tasks/finish-batch    settle many tasks in one request
+//	POST /v1/tasks/finish-batch    settle many tasks (done or failed)
 //	GET  /v1/tasks                 list tasks (operator visibility)
-//	POST /v1/tasks/{id}/heartbeat  renew the claim lease
-//	POST /v1/tasks/{id}/finish     settle the task (done or failed)
 //	POST /v1/tasks/{id}/release    return the task to pending
 //
-// Ownership failures map to status codes: 404 for an unknown task, 409
-// for a stale claim (the lease expired and another worker owns the task
-// now — the loser's finish is rejected, exactly-once settlement). The
-// batch endpoints report per-item outcomes with the same status codes:
-// the request itself is 200 as long as it parses, and each item carries
-// its own status — one stolen cell must not fail the other N-1 results
-// travelling in the same request.
+// There is one lease protocol: a worker that wants a single task claims
+// a batch of one. Ownership failures map to status codes: 404 for an
+// unknown task, 409 for a stale claim (the lease expired and another
+// worker owns the task now — the loser's finish is rejected,
+// exactly-once settlement). The batch endpoints report per-item outcomes
+// with those codes: the request itself is 200 as long as it parses and
+// names a worker, and each item carries its own status — one stolen cell
+// must not fail the other N-1 results travelling in the same request.
 
 // LeaseAPI serves a distwork store's claim/heartbeat/finish lifecycle
 // over HTTP.
@@ -45,34 +43,11 @@ type LeaseAPI[P any] struct {
 
 // Register installs the lease routes on mux.
 func (a *LeaseAPI[P]) Register(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v1/tasks/claim", a.handleClaim)
 	mux.HandleFunc("POST /v1/tasks/claim-batch", a.handleClaimBatch)
 	mux.HandleFunc("POST /v1/tasks/heartbeat-batch", a.handleHeartbeatBatch)
 	mux.HandleFunc("POST /v1/tasks/finish-batch", a.handleFinishBatch)
 	mux.HandleFunc("GET /v1/tasks", a.handleList)
-	mux.HandleFunc("POST /v1/tasks/{id}/heartbeat", a.handleHeartbeat)
-	mux.HandleFunc("POST /v1/tasks/{id}/finish", a.handleFinish)
 	mux.HandleFunc("POST /v1/tasks/{id}/release", a.handleRelease)
-}
-
-// claimRequest names the worker asking for work.
-type claimRequest struct {
-	Worker string `json:"worker"`
-}
-
-// claimResponse carries the claimed task (null when none was pending),
-// whether the store has settled (every task terminal — the worker's
-// signal to exit), and the lease the worker must heartbeat within.
-type claimResponse[P any] struct {
-	Task         *distwork.Task[P] `json:"task"`
-	Settled      bool              `json:"settled"`
-	LeaseSeconds float64           `json:"lease_seconds"`
-}
-
-type finishRequest struct {
-	Worker string `json:"worker"`
-	Result string `json:"result"`
-	Error  string `json:"error,omitempty"`
 }
 
 type releaseRequest struct {
@@ -93,39 +68,26 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// writeLeaseError maps distwork's ownership errors onto status codes.
-func writeLeaseError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, distwork.ErrNotFound):
-		writeError(w, http.StatusNotFound, "%v", err)
-	case errors.Is(err, distwork.ErrNotOwner):
-		writeError(w, http.StatusConflict, "%v", err)
-	default:
-		writeError(w, http.StatusInternalServerError, "%v", err)
+// requireWorker rejects a lease request that names no worker: every
+// lease transition is owned by one.
+func requireWorker(w http.ResponseWriter, worker string) bool {
+	if worker == "" {
+		writeError(w, http.StatusBadRequest, "missing worker name")
+		return false
 	}
+	return true
 }
 
-// handleClaim hands the oldest pending task to the asking worker.
-// Expired leases are collected first (inside TryClaim), so a crashed
-// worker's tasks are stolen here by whichever worker polls next. An
-// empty claim is not an error: the worker backs off and retries until
-// settled says the whole task set is terminal.
-func (a *LeaseAPI[P]) handleClaim(w http.ResponseWriter, r *http.Request) {
-	var req claimRequest
-	if !decodeBody(w, r, &req) {
-		return
+// leaseStatus maps distwork's ownership errors onto status codes.
+func leaseStatus(err error) int {
+	switch {
+	case errors.Is(err, distwork.ErrNotFound):
+		return http.StatusNotFound
+	case errors.Is(err, distwork.ErrNotOwner):
+		return http.StatusConflict
+	default:
+		return http.StatusInternalServerError
 	}
-	if req.Worker == "" {
-		writeError(w, http.StatusBadRequest, "missing worker name")
-		return
-	}
-	resp := claimResponse[P]{LeaseSeconds: a.Store.Lease().Seconds()}
-	if t, ok := a.Store.TryClaim(req.Worker); ok {
-		resp.Task = &t
-	} else {
-		resp.Settled = a.Store.Settled()
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // claimBatchRequest asks for up to Max tasks in one round trip.
@@ -134,8 +96,9 @@ type claimBatchRequest struct {
 	Max    int    `json:"max"`
 }
 
-// claimBatchResponse carries the claimed tasks (possibly empty) plus the
-// same settled/lease fields as a single claim.
+// claimBatchResponse carries the claimed tasks (possibly empty), whether
+// the store has settled (every task terminal — the worker's signal to
+// exit), and the lease the worker must heartbeat within.
 type claimBatchResponse[P any] struct {
 	Tasks        []distwork.Task[P] `json:"tasks"`
 	Settled      bool               `json:"settled"`
@@ -153,7 +116,7 @@ type finishBatchRequest struct {
 }
 
 // batchItemStatus is one item's outcome inside a 200 batch response:
-// the HTTP status the single-task endpoint would have returned.
+// 200, or the 404/409/500 code of its ownership error.
 type batchItemStatus struct {
 	Status int    `json:"status"`
 	Error  string `json:"error,omitempty"`
@@ -163,31 +126,26 @@ type batchResponse struct {
 	Results []batchItemStatus `json:"results"`
 }
 
-// leaseItemStatus maps a per-item distwork error onto the status code
-// the corresponding single-task endpoint would have used.
-func leaseItemStatus(err error) batchItemStatus {
-	switch {
-	case err == nil:
-		return batchItemStatus{Status: http.StatusOK}
-	case errors.Is(err, distwork.ErrNotFound):
-		return batchItemStatus{Status: http.StatusNotFound, Error: err.Error()}
-	case errors.Is(err, distwork.ErrNotOwner):
-		return batchItemStatus{Status: http.StatusConflict, Error: err.Error()}
-	default:
-		return batchItemStatus{Status: http.StatusInternalServerError, Error: err.Error()}
+// batchResult turns positional distwork errors into per-item statuses.
+func batchResult(errs []error) batchResponse {
+	resp := batchResponse{Results: make([]batchItemStatus, len(errs))}
+	for i, err := range errs {
+		resp.Results[i] = batchItemStatus{Status: http.StatusOK}
+		if err != nil {
+			resp.Results[i] = batchItemStatus{Status: leaseStatus(err), Error: err.Error()}
+		}
 	}
+	return resp
 }
 
-// handleClaimBatch hands out up to max pending tasks in one request —
-// the amortized form of handleClaim for workers running many short
-// tasks (million-cell sweeps: one round trip per batch, not per cell).
+// handleClaimBatch hands out up to max pending tasks (at least one) in
+// one request. Expired leases are collected first, so a crashed worker's
+// tasks are stolen here by whichever worker polls next. An empty claim
+// is not an error: the worker backs off and retries until settled says
+// the whole task set is terminal.
 func (a *LeaseAPI[P]) handleClaimBatch(w http.ResponseWriter, r *http.Request) {
 	var req claimBatchRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if req.Worker == "" {
-		writeError(w, http.StatusBadRequest, "missing worker name")
+	if !decodeBody(w, r, &req) || !requireWorker(w, req.Worker) {
 		return
 	}
 	resp := claimBatchResponse[P]{LeaseSeconds: a.Store.Lease().Seconds()}
@@ -200,83 +158,41 @@ func (a *LeaseAPI[P]) handleClaimBatch(w http.ResponseWriter, r *http.Request) {
 
 func (a *LeaseAPI[P]) handleHeartbeatBatch(w http.ResponseWriter, r *http.Request) {
 	var req heartbeatBatchRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) || !requireWorker(w, req.Worker) {
 		return
 	}
-	errs := a.Store.HeartbeatBatch(req.Worker, req.IDs)
-	resp := batchResponse{Results: make([]batchItemStatus, len(errs))}
-	for i, err := range errs {
-		resp.Results[i] = leaseItemStatus(err)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, batchResult(a.Store.HeartbeatBatch(req.Worker, req.IDs)))
 }
 
 // handleFinishBatch settles many tasks in one request with per-item
 // outcomes: a stolen task's 409 rides alongside its batch-mates' 200s.
 func (a *LeaseAPI[P]) handleFinishBatch(w http.ResponseWriter, r *http.Request) {
 	var req finishBatchRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) || !requireWorker(w, req.Worker) {
 		return
 	}
-	errs := a.Store.FinishBatch(req.Worker, req.Items)
-	resp := batchResponse{Results: make([]batchItemStatus, len(errs))}
-	for i, err := range errs {
-		resp.Results[i] = leaseItemStatus(err)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, batchResult(a.Store.FinishBatch(req.Worker, req.Items)))
 }
 
 func (a *LeaseAPI[P]) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, a.Store.List())
 }
 
-func (a *LeaseAPI[P]) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req claimRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if err := a.Store.Heartbeat(r.PathValue("id"), req.Worker); err != nil {
-		writeLeaseError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleFinish settles a claimed task: done with the worker's encoded
-// result, or failed when the request carries an error message.
-func (a *LeaseAPI[P]) handleFinish(w http.ResponseWriter, r *http.Request) {
-	var req finishRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	id := r.PathValue("id")
-	var err error
-	if req.Error != "" {
-		err = a.Store.Finish(id, req.Worker, req.Result, errors.New(req.Error))
-	} else {
-		err = a.Store.Finish(id, req.Worker, req.Result, nil)
-	}
-	if err != nil {
-		writeLeaseError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 func (a *LeaseAPI[P]) handleRelease(w http.ResponseWriter, r *http.Request) {
 	var req releaseRequest
-	if !decodeBody(w, r, &req) {
+	if !decodeBody(w, r, &req) || !requireWorker(w, req.Worker) {
 		return
 	}
 	if err := a.Store.Release(r.PathValue("id"), req.Worker, req.Note); err != nil {
-		writeLeaseError(w, err)
+		writeError(w, leaseStatus(err), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// LeaseClient is the worker-side counterpart of LeaseAPI: typed claim/
-// heartbeat/finish/release calls against a coordinator's base URL.
+// LeaseClient is the worker-side counterpart of LeaseAPI: typed batch
+// claim/heartbeat/finish and release calls against a coordinator's base
+// URL.
 type LeaseClient[P any] struct {
 	// Base is the coordinator's URL, e.g. "http://127.0.0.1:9180".
 	Base string
@@ -339,19 +255,8 @@ func (e *LeaseStatusError) Error() string {
 	return fmt.Sprintf("lease api: HTTP %d: %s", e.Status, e.Msg)
 }
 
-// Claim asks the coordinator for a task. A nil task with settled=false
-// means nothing is pending right now (back off and retry); settled=true
-// means the whole task set is terminal and the worker can exit.
-func (c *LeaseClient[P]) Claim(ctx context.Context, worker string) (task *distwork.Task[P], settled bool, lease time.Duration, err error) {
-	var resp claimResponse[P]
-	if err := c.post(ctx, "/v1/tasks/claim", claimRequest{Worker: worker}, &resp); err != nil {
-		return nil, false, 0, err
-	}
-	return resp.Task, resp.Settled, time.Duration(resp.LeaseSeconds * float64(time.Second)), nil
-}
-
-// ClaimBatch asks the coordinator for up to max tasks in one round
-// trip. An empty slice with settled=false means nothing is pending
+// ClaimBatch asks the coordinator for up to max tasks (at least one) in
+// one round trip. An empty slice with settled=false means nothing is pending
 // right now; settled=true means the task set is terminal.
 func (c *LeaseClient[P]) ClaimBatch(ctx context.Context, worker string, max int) (tasks []distwork.Task[P], settled bool, lease time.Duration, err error) {
 	var resp claimBatchResponse[P]
@@ -399,17 +304,6 @@ func (c *LeaseClient[P]) FinishBatch(ctx context.Context, worker string, items [
 		return nil, err
 	}
 	return batchItemErrors(resp, len(items)), nil
-}
-
-// Heartbeat renews the worker's lease on the task.
-func (c *LeaseClient[P]) Heartbeat(ctx context.Context, id, worker string) error {
-	return c.post(ctx, "/v1/tasks/"+id+"/heartbeat", claimRequest{Worker: worker}, nil)
-}
-
-// Finish settles the task: done with result, or failed when taskErr is
-// non-empty.
-func (c *LeaseClient[P]) Finish(ctx context.Context, id, worker, result, taskErr string) error {
-	return c.post(ctx, "/v1/tasks/"+id+"/finish", finishRequest{Worker: worker, Result: result, Error: taskErr}, nil)
 }
 
 // Release returns the task to pending with a note.

@@ -1,7 +1,9 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -28,8 +30,36 @@ func newLeaseFixture(t *testing.T, lease time.Duration) (*distwork.Store[leasePa
 	return store, &LeaseClient[leasePayload]{Base: srv.URL, HTTP: srv.Client()}
 }
 
+// claimOne claims a batch of one — how a single-task worker speaks the
+// lease protocol. A nil task means nothing was pending.
+func claimOne(t *testing.T, client *LeaseClient[leasePayload], worker string) (*distwork.Task[leasePayload], bool, time.Duration) {
+	t.Helper()
+	tasks, settled, lease, err := client.ClaimBatch(context.Background(), worker, 1)
+	if err != nil {
+		t.Fatalf("claim %s: %v", worker, err)
+	}
+	if len(tasks) > 1 {
+		t.Fatalf("claim %s: batch of one returned %d tasks", worker, len(tasks))
+	}
+	if len(tasks) == 0 {
+		return nil, settled, lease
+	}
+	return &tasks[0], settled, lease
+}
+
+// finishOne settles one task through finish-batch and returns its
+// per-item outcome.
+func finishOne(t *testing.T, client *LeaseClient[leasePayload], id, worker, result, taskErr string) error {
+	t.Helper()
+	errs, err := client.FinishBatch(context.Background(), worker, []distwork.FinishItem{{ID: id, Result: result, Error: taskErr}})
+	if err != nil {
+		t.Fatalf("finish-batch: %v", err)
+	}
+	return errs[0]
+}
+
 // TestLeaseRoundTrip drives a full claim/heartbeat/finish cycle over
-// HTTP and pins the wire-level settlement signal.
+// HTTP with batches of one and pins the wire-level settlement signal.
 func TestLeaseRoundTrip(t *testing.T) {
 	store, client := newLeaseFixture(t, time.Minute)
 	ctx := context.Background()
@@ -37,10 +67,7 @@ func TestLeaseRoundTrip(t *testing.T) {
 	// Empty store: no task, not settled... an empty store is settled by
 	// definition (nothing outstanding), which is also the worker's exit
 	// signal when it arrives after the grid completed.
-	task, settled, lease, err := client.Claim(ctx, "w1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	task, settled, lease := claimOne(t, client, "w1")
 	if task != nil || !settled {
 		t.Fatalf("empty store claim: task=%v settled=%v", task, settled)
 	}
@@ -55,20 +82,18 @@ func TestLeaseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	task, settled, _, err = client.Claim(ctx, "w1")
-	if err != nil {
-		t.Fatal(err)
-	}
+	task, settled, _ = claimOne(t, client, "w1")
 	if task == nil || settled {
 		t.Fatalf("claim: task=%v settled=%v", task, settled)
 	}
 	if task.Payload.Index != 0 || task.Payload.Name != "a" || task.Worker != "w1" {
 		t.Fatalf("claimed task: %+v", task)
 	}
-	if err := client.Heartbeat(ctx, task.ID, "w1"); err != nil {
-		t.Fatal(err)
+	errs, err := client.HeartbeatBatch(ctx, "w1", []string{task.ID})
+	if err != nil || errs[0] != nil {
+		t.Fatalf("heartbeat: %v %v", err, errs)
 	}
-	if err := client.Finish(ctx, task.ID, "w1", `{"v":42}`, ""); err != nil {
+	if err := finishOne(t, client, task.ID, "w1", `{"v":42}`, ""); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := store.Get(task.ID)
@@ -77,11 +102,11 @@ func TestLeaseRoundTrip(t *testing.T) {
 	}
 
 	// Second task fails remotely.
-	task2, _, _, err := client.Claim(ctx, "w1")
-	if err != nil || task2 == nil {
-		t.Fatalf("claim 2: %v %v", task2, err)
+	task2, _, _ := claimOne(t, client, "w1")
+	if task2 == nil {
+		t.Fatal("claim 2: no task")
 	}
-	if err := client.Finish(ctx, task2.ID, "w1", "", "engine exploded"); err != nil {
+	if err := finishOne(t, client, task2.ID, "w1", "", "engine exploded"); err != nil {
 		t.Fatal(err)
 	}
 	got2, _ := store.Get(task2.ID)
@@ -90,38 +115,74 @@ func TestLeaseRoundTrip(t *testing.T) {
 	}
 
 	// Everything terminal: the next claim reports settled.
-	task, settled, _, err = client.Claim(ctx, "w1")
-	if err != nil || task != nil || !settled {
-		t.Fatalf("settled claim: task=%v settled=%v err=%v", task, settled, err)
+	task, settled, _ = claimOne(t, client, "w1")
+	if task != nil || !settled {
+		t.Fatalf("settled claim: task=%v settled=%v", task, settled)
 	}
 }
 
 // TestLeaseOwnershipStatusCodes pins the error mapping: 404 unknown
-// task, 409 stale claim.
+// task, 409 stale claim — per item inside a 200 batch reply, and on the
+// release route's own status.
 func TestLeaseOwnershipStatusCodes(t *testing.T) {
 	store, client := newLeaseFixture(t, time.Minute)
 	ctx := context.Background()
 
-	err := client.Heartbeat(ctx, "t999999", "w1")
 	var st *LeaseStatusError
-	if !asLeaseStatus(err, &st) || st.Status != http.StatusNotFound {
-		t.Fatalf("unknown task: %v", err)
+	errs, err := client.HeartbeatBatch(ctx, "w1", []string{"t999999"})
+	if err != nil || !asLeaseStatus(errs[0], &st) || st.Status != http.StatusNotFound {
+		t.Fatalf("unknown task: %v %v", err, errs)
+	}
+	if err := finishOne(t, client, "t999999", "w1", "r", ""); !asLeaseStatus(err, &st) || st.Status != http.StatusNotFound {
+		t.Fatalf("unknown task finish: %v", err)
+	}
+	if err := client.Release(ctx, "t999999", "w1", ""); !asLeaseStatus(err, &st) || st.Status != http.StatusNotFound {
+		t.Fatalf("unknown task release: %v", err)
 	}
 
 	if _, err := store.Submit(leasePayload{Index: 0}); err != nil {
 		t.Fatal(err)
 	}
-	task, _, _, err := client.Claim(ctx, "w1")
-	if err != nil || task == nil {
-		t.Fatalf("claim: %v %v", task, err)
+	task, _, _ := claimOne(t, client, "w1")
+	if task == nil {
+		t.Fatal("claim: no task")
 	}
-	err = client.Finish(ctx, task.ID, "w2", "r", "")
-	if !asLeaseStatus(err, &st) || st.Status != http.StatusConflict {
+	if err := finishOne(t, client, task.ID, "w2", "r", ""); !asLeaseStatus(err, &st) || st.Status != http.StatusConflict {
 		t.Fatalf("foreign finish: %v", err)
 	}
+	if err := client.Release(ctx, task.ID, "w2", ""); !asLeaseStatus(err, &st) || st.Status != http.StatusConflict {
+		t.Fatalf("foreign release: %v", err)
+	}
 	// The rightful owner still settles fine.
-	if err := client.Finish(ctx, task.ID, "w1", "r", ""); err != nil {
+	if err := finishOne(t, client, task.ID, "w1", "r", ""); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLeaseRequiresWorker pins input checking: every lease request that
+// names no worker is a 400, not a per-item 409.
+func TestLeaseRequiresWorker(t *testing.T) {
+	store, client := newLeaseFixture(t, time.Minute)
+	ctx := context.Background()
+	if _, err := store.Submit(leasePayload{Index: 0}); err != nil {
+		t.Fatal(err)
+	}
+	task, _, _ := claimOne(t, client, "w1")
+	var st *LeaseStatusError
+	if _, _, _, err := client.ClaimBatch(ctx, "", 1); !asLeaseStatus(err, &st) || st.Status != http.StatusBadRequest {
+		t.Fatalf("claim-batch without worker: %v", err)
+	}
+	if _, err := client.HeartbeatBatch(ctx, "", []string{task.ID}); !asLeaseStatus(err, &st) || st.Status != http.StatusBadRequest {
+		t.Fatalf("heartbeat-batch without worker: %v", err)
+	}
+	if _, err := client.FinishBatch(ctx, "", []distwork.FinishItem{{ID: task.ID}}); !asLeaseStatus(err, &st) || st.Status != http.StatusBadRequest {
+		t.Fatalf("finish-batch without worker: %v", err)
+	}
+	if err := client.Release(ctx, task.ID, "", ""); !asLeaseStatus(err, &st) || st.Status != http.StatusBadRequest {
+		t.Fatalf("release without worker: %v", err)
+	}
+	if got, _ := store.Get(task.ID); got.State != distwork.StateClaimed || got.Worker != "w1" {
+		t.Fatalf("rejected requests changed the task: %+v", got)
 	}
 }
 
@@ -131,23 +192,19 @@ func TestLeaseOwnershipStatusCodes(t *testing.T) {
 // rejected with 409.
 func TestLeaseStealOverHTTP(t *testing.T) {
 	store, client := newLeaseFixture(t, 30*time.Millisecond)
-	ctx := context.Background()
 	if _, err := store.Submit(leasePayload{Index: 0}); err != nil {
 		t.Fatal(err)
 	}
-	task, _, _, err := client.Claim(ctx, "w-dead")
-	if err != nil || task == nil {
-		t.Fatalf("claim: %v %v", task, err)
+	task, _, _ := claimOne(t, client, "w-dead")
+	if task == nil {
+		t.Fatal("claim: no task")
 	}
 	// w-dead never heartbeats. Poll until the lease lapses and w-live
 	// steals the task.
 	deadline := time.Now().Add(5 * time.Second)
 	var stolen *distwork.Task[leasePayload]
 	for {
-		stolen, _, _, err = client.Claim(ctx, "w-live")
-		if err != nil {
-			t.Fatal(err)
-		}
+		stolen, _, _ = claimOne(t, client, "w-live")
 		if stolen != nil {
 			break
 		}
@@ -161,12 +218,11 @@ func TestLeaseStealOverHTTP(t *testing.T) {
 	}
 	// The dead worker wakes up and tries to finish: exactly-once
 	// settlement rejects it.
-	err = client.Finish(ctx, task.ID, "w-dead", "stale", "")
 	var st *LeaseStatusError
-	if !asLeaseStatus(err, &st) || st.Status != http.StatusConflict {
+	if err := finishOne(t, client, task.ID, "w-dead", "stale", ""); !asLeaseStatus(err, &st) || st.Status != http.StatusConflict {
 		t.Fatalf("stale finish: %v", err)
 	}
-	if err := client.Finish(ctx, task.ID, "w-live", "fresh", ""); err != nil {
+	if err := finishOne(t, client, task.ID, "w-live", "fresh", ""); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := store.Get(task.ID)
@@ -176,7 +232,8 @@ func TestLeaseStealOverHTTP(t *testing.T) {
 }
 
 // TestLeaseRelease pins the graceful-release path and concurrent client
-// safety under -race.
+// safety under -race: a fleet of batch-of-one workers settles every task
+// exactly once.
 func TestLeaseRelease(t *testing.T) {
 	store, client := newLeaseFixture(t, time.Minute)
 	ctx := context.Background()
@@ -186,9 +243,9 @@ func TestLeaseRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	task, _, _, err := client.Claim(ctx, "w1")
-	if err != nil || task == nil {
-		t.Fatalf("claim: %v %v", task, err)
+	task, _, _ := claimOne(t, client, "w1")
+	if task == nil {
+		t.Fatal("claim: no task")
 	}
 	if err := client.Release(ctx, task.ID, "w1", "shutting down"); err != nil {
 		t.Fatal(err)
@@ -199,36 +256,49 @@ func TestLeaseRelease(t *testing.T) {
 	}
 
 	// A small fleet drains the store concurrently.
-	var wg sync.WaitGroup
+	var (
+		wg      sync.WaitGroup
+		mu      sync.Mutex
+		settled = map[string]int{}
+	)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			name := string(rune('a' + w))
 			for {
-				task, settled, _, err := client.Claim(ctx, name)
+				tasks, done, _, err := client.ClaimBatch(ctx, name, 1)
 				if err != nil {
 					t.Errorf("claim: %v", err)
 					return
 				}
-				if task == nil {
-					if settled {
+				if len(tasks) == 0 {
+					if done {
 						return
 					}
 					time.Sleep(time.Millisecond)
 					continue
 				}
-				if err := client.Finish(ctx, task.ID, name, "ok", ""); err != nil {
-					t.Errorf("finish: %v", err)
+				errs, err := client.FinishBatch(ctx, name, []distwork.FinishItem{{ID: tasks[0].ID, Result: "ok"}})
+				if err != nil || errs[0] != nil {
+					t.Errorf("finish: %v %v", err, errs)
 					return
 				}
+				mu.Lock()
+				settled[tasks[0].ID]++
+				mu.Unlock()
 			}
 		}(w)
 	}
 	wg.Wait()
 	counts := store.Counts()
-	if counts[distwork.StateDone] != n {
-		t.Fatalf("done: %d, want %d (counts %v)", counts[distwork.StateDone], n, counts)
+	if counts[distwork.StateDone] != n || len(settled) != n {
+		t.Fatalf("done: %d (%d distinct), want %d (counts %v)", counts[distwork.StateDone], len(settled), n, counts)
+	}
+	for id, k := range settled {
+		if k != 1 {
+			t.Fatalf("task %s settled %d times", id, k)
+		}
 	}
 }
 
@@ -347,5 +417,125 @@ func TestBatchLeaseOverHTTP(t *testing.T) {
 	none, settled, _, err := client.ClaimBatch(ctx, "w3", 5)
 	if err != nil || len(none) != 0 || !settled {
 		t.Fatalf("settled claim-batch: %v %v %v", none, settled, err)
+	}
+}
+
+// FuzzLeaseRequests sends arbitrary bodies to the batch and release
+// endpoints of a small store (two tasks claimed by w1, two pending) and
+// checks the wire contract: no panic; a batch endpoint answers 200 or
+// 400, release answers 200/400/404/409; a 200 heartbeat- or
+// finish-batch reply has exactly one result per request item; a 200
+// claim-batch reply hands out at most max(1, max) tasks, all leased to
+// the asking worker.
+func FuzzLeaseRequests(f *testing.F) {
+	f.Add(uint8(0), "", []byte(`{"worker":"w2","max":3}`))
+	f.Add(uint8(0), "", []byte(`{"worker":"","max":1}`))
+	f.Add(uint8(0), "", []byte(`{"worker":"w1","max":-7}`))
+	f.Add(uint8(1), "", []byte(`{"worker":"w1","ids":["t000001","t000003","t999999",""]}`))
+	f.Add(uint8(1), "", []byte(`{"worker":"","ids":["t000001"]}`))
+	f.Add(uint8(1), "", []byte(`{"ids":null}`))
+	f.Add(uint8(2), "", []byte(`{"worker":"w1","items":[{"ID":"t000001","Result":"r"},{"ID":"t000001"},{"ID":"t000002","Error":"boom"}]}`))
+	f.Add(uint8(2), "", []byte(`{"worker":"w2","items":[{"ID":"t000004"}]}`))
+	f.Add(uint8(3), "t000001", []byte(`{"worker":"w1","note":"bye"}`))
+	f.Add(uint8(3), "t000003", []byte(`{"worker":"w1"}`))
+	f.Add(uint8(3), "nope", []byte(`{"worker":"w1"}`))
+	f.Add(uint8(2), "", []byte(`not json`))
+	f.Add(uint8(1), "", []byte(`[1,2,3]`))
+	f.Fuzz(func(t *testing.T, route uint8, id string, body []byte) {
+		store := distwork.New(distwork.Options[leasePayload]{Lease: time.Minute})
+		defer store.Close()
+		for i := 0; i < 4; i++ {
+			if _, err := store.Submit(leasePayload{Index: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		store.TryClaimBatch("w1", 2)
+		mux := http.NewServeMux()
+		(&LeaseAPI[leasePayload]{Store: store}).Register(mux)
+
+		var path string
+		switch route % 4 {
+		case 0:
+			path = "/v1/tasks/claim-batch"
+		case 1:
+			path = "/v1/tasks/heartbeat-batch"
+		case 2:
+			path = "/v1/tasks/finish-batch"
+		default:
+			if !validFuzzID(id) {
+				id = "t000001"
+			}
+			path = "/v1/tasks/" + id + "/release"
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		code := rec.Code
+
+		if route%4 == 3 {
+			switch code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusConflict:
+			default:
+				t.Fatalf("release %s: status %d: %s", id, code, rec.Body)
+			}
+			return
+		}
+		if code != http.StatusOK && code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d: %s", path, code, rec.Body)
+		}
+		if code != http.StatusOK {
+			return
+		}
+		switch route % 4 {
+		case 0:
+			var req claimBatchRequest
+			var resp claimBatchResponse[leasePayload]
+			mustUnmarshal(t, body, &req)
+			mustUnmarshal(t, rec.Body.Bytes(), &resp)
+			if len(resp.Tasks) > max(1, req.Max) {
+				t.Fatalf("claim-batch max=%d handed out %d tasks", req.Max, len(resp.Tasks))
+			}
+			for _, task := range resp.Tasks {
+				if task.Worker != req.Worker || task.State != distwork.StateClaimed {
+					t.Fatalf("claim-batch for %q returned %+v", req.Worker, task)
+				}
+			}
+		case 1:
+			var req heartbeatBatchRequest
+			var resp batchResponse
+			mustUnmarshal(t, body, &req)
+			mustUnmarshal(t, rec.Body.Bytes(), &resp)
+			if len(resp.Results) != len(req.IDs) {
+				t.Fatalf("heartbeat-batch: %d results for %d ids", len(resp.Results), len(req.IDs))
+			}
+		case 2:
+			var req finishBatchRequest
+			var resp batchResponse
+			mustUnmarshal(t, body, &req)
+			mustUnmarshal(t, rec.Body.Bytes(), &resp)
+			if len(resp.Results) != len(req.Items) {
+				t.Fatalf("finish-batch: %d results for %d items", len(resp.Results), len(req.Items))
+			}
+		}
+	})
+}
+
+// validFuzzID reports whether id can stand as one clean path segment
+// (anything else would be redirected by the mux's path cleaning).
+func validFuzzID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
+	}
+	for _, c := range id {
+		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_' || c == '-') {
+			return false
+		}
+	}
+	return true
+}
+
+func mustUnmarshal(t *testing.T, data []byte, v any) {
+	t.Helper()
+	if err := json.Unmarshal(data, v); err != nil {
+		t.Fatalf("decoding %q: %v", data, err)
 	}
 }

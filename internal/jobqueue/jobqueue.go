@@ -138,7 +138,7 @@ type Options struct {
 	Metrics *obs.Registry
 	Flight  *obs.FlightRecorder
 	// JournalShards splits the journal across this many hash-sharded
-	// files (0 = single legacy file); GroupCommit batches journal fsyncs
+	// files (0 or 1 = one file); GroupCommit batches journal fsyncs
 	// into one flush per window (0 = fsync every transition). See
 	// distwork.Options.Shards and distwork.Options.GroupCommit.
 	JournalShards int

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -305,6 +306,68 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	if _, ok := q2.Get("j000002"); ok {
 		t.Fatal("torn record resurrected")
+	}
+}
+
+// headerlessJobJournal is a daemon journal in the header-less layout
+// earlier elastisimd releases wrote, by hand and in the Job record shape
+// ("config", not "payload"): j000001 done, j000002 running when the
+// daemon died, j000003 pending.
+const headerlessJobJournal = `{"id":"j000001","state":"pending","config":{"job":1},"submitted":"2025-01-01T00:00:00Z","started":"0001-01-01T00:00:00Z","finished":"0001-01-01T00:00:00Z"}
+{"id":"j000002","state":"pending","config":{"job":2},"submitted":"2025-01-01T00:00:01Z","started":"0001-01-01T00:00:00Z","finished":"0001-01-01T00:00:00Z"}
+{"id":"j000003","state":"pending","config":{"job":3},"submitted":"2025-01-01T00:00:02Z","started":"0001-01-01T00:00:00Z","finished":"0001-01-01T00:00:00Z"}
+{"id":"j000001","state":"done","config":{"job":1},"submitted":"2025-01-01T00:00:00Z","started":"2025-01-01T00:00:03Z","finished":"2025-01-01T00:00:04Z","attempts":1,"result":"artifacts/j000001"}
+{"id":"j000002","state":"running","config":{"job":2},"submitted":"2025-01-01T00:00:01Z","started":"2025-01-01T00:00:05Z","finished":"0001-01-01T00:00:00Z","worker":"w","lease":"2025-01-01T00:01:00Z","attempts":1}
+`
+
+// TestHeaderlessJournalMigrates pins that a daemon journal from before
+// the headered layout replays — the finished job is not re-run, the
+// interrupted one is requeued — and is rewritten on open with the
+// one-shard header. A second reopen is stable.
+func TestHeaderlessJournalMigrates(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, []byte(headerlessJobJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("open header-less journal: %v", err)
+	}
+	if got, _ := q.Get("j000001"); got.State != StateDone || got.Result != "artifacts/j000001" {
+		t.Fatalf("done job after migration = %+v", got)
+	}
+	if got, _ := q.Get("j000002"); got.State != StatePending || got.Worker != "" || string(got.Config) != `{"job":2}` {
+		t.Fatalf("running job after migration = %+v (want requeued with its config)", got)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	migrated, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, _, _ := strings.Cut(string(migrated), "\n"); first != `{"journal_shards":1,"shard":0}` {
+		t.Fatalf("migrated journal header: %q", first)
+	}
+
+	q2, err := Open(path, Options{})
+	if err != nil {
+		t.Fatalf("reopen migrated journal: %v", err)
+	}
+	defer q2.Close()
+	if again, _ := os.ReadFile(path); string(again) != string(migrated) {
+		t.Fatalf("second reopen rewrote the journal:\n%s\nwant:\n%s", again, migrated)
+	}
+	var claimed []string
+	for {
+		j, ok := q2.TryClaim("w2")
+		if !ok {
+			break
+		}
+		claimed = append(claimed, j.ID)
+	}
+	if strings.Join(claimed, ",") != "j000002,j000003" {
+		t.Fatalf("claimable after migration: %v, want [j000002 j000003]", claimed)
 	}
 }
 
