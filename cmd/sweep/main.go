@@ -7,20 +7,29 @@
 //	sweep -algorithms fcfs,easy,adaptive -shares 0,0.25,0.5,0.75,1 \
 //	      -seeds 1,2,3 -jobs 150 -workers 0 > grid.csv
 //
-// Cells run concurrently (-workers; 0 means one per CPU). The CSV is
-// bit-identical for any worker count — only wall-clock columns vary.
+// Every mode runs on one engine: the grid is a distwork store of cells
+// (internal/experiments.Grid) — memory-only by default, journaled with
+// -journal — executed by a local pool or, with -serve, by remote
+// workers, and its CSV is streamed out in cell-index order. Cells run
+// concurrently (-workers; 0 means one per CPU). The CSV is bit-identical
+// for any worker count and any mode except for the wall_ms column, which
+// is measured only by an unjournaled local run; journaled and served
+// grids report it as 0.
 //
 // Ctrl-C stops the sweep gracefully: in-flight simulations stop between
 // events, the CSV rows of every completed cell are flushed to stdout, and
-// the process exits with code 130.
+// the process exits with code 130. An unknown -algorithms name, a share
+// outside [0,1] or a malformed seed is a usage error (exit 2) before any
+// cell runs.
 //
 // # Journaled and resumable sweeps
 //
-// With -journal the grid runs through the distwork core: every cell is a
-// journaled task, and a killed sweep restarted with -resume re-runs only
-// the cells that had not finished — completed cells replay from the
-// journal. Journaled results are canonicalized (wall_ms is 0), so the
-// resumed CSV is byte-identical to an uninterrupted run.
+// With -journal every cell is a journaled task, and a killed sweep
+// restarted with -resume re-runs only the cells that had not finished —
+// completed cells replay from the journal. Journaled results are
+// canonicalized (wall_ms is 0), so the resumed CSV is byte-identical to
+// an uninterrupted run. -progress counts every cell that settles done:
+// run locally, finished by a remote worker, or replayed on resume.
 //
 //	sweep -journal grid.jsonl > grid.csv            # start
 //	sweep -journal grid.jsonl -resume > grid.csv    # continue after a kill
@@ -124,109 +133,96 @@ func run(ctx context.Context) error {
 		return runWorker(ctx, *connectURL, *workerName, *leaseBatch)
 	}
 
-	cfg := experiments.SweepConfig{Jobs: *jobs, Nodes: *nodes, Workers: *workers}
-	cfg.Algorithms = strings.Split(*algorithms, ",")
-	for _, s := range strings.Split(*shares, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil || v < 0 || v > 1 {
-			return cli.Usagef("bad share %q", s)
-		}
-		cfg.Shares = append(cfg.Shares, v)
+	cfg, err := gridConfig(*algorithms, *shares, *seeds, *jobs, *nodes, *workers)
+	if err != nil {
+		return err
 	}
-	for _, s := range strings.Split(*seeds, ",") {
-		v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
-		if err != nil {
-			return cli.Usagef("bad seed %q", s)
-		}
-		cfg.Seeds = append(cfg.Seeds, v)
-	}
-
 	var prog *telemetry.CellProgress
 	if *progress {
-		cells := len(cfg.Algorithms) * len(cfg.Shares) * len(cfg.Seeds)
-		prog = &telemetry.CellProgress{W: os.Stderr, Total: cells}
+		prog = &telemetry.CellProgress{W: os.Stderr, Total: experiments.GridSize(cfg)}
 	}
-
-	if *serveAddr != "" || *journalPath != "" {
-		gopts := experiments.GridOptions{
-			Workers:     cfg.Workers,
-			Lease:       *lease,
-			Resume:      *resume,
-			Shards:      *shards,
-			GroupCommit: *groupCommit,
-			OnCellDone:  progHook(prog),
-		}
-		var (
-			grid   *experiments.Grid
-			runErr error
-		)
-		if *serveAddr != "" {
-			grid, runErr = runCoordinator(ctx, *serveAddr, *journalPath, cfg, gopts)
-		} else {
-			grid, runErr = runJournaled(ctx, *journalPath, cfg, gopts)
-		}
-		if prog != nil {
-			prog.Done()
-		}
-		if grid == nil {
-			return runErr
-		}
-		defer grid.Close()
-		if runErr != nil && ctx.Err() == nil {
-			return runErr
-		}
-		// Stream the completed rows out of the journal in cell-index order —
-		// on interrupt that's the partial grid worth flushing; on a clean run
-		// it's everything. Results never pass through a grid-sized slice.
-		var agg *elastisim.TelemetrySnapshot
-		if *telemetryOut != "" {
-			agg = &elastisim.TelemetrySnapshot{}
-		}
-		rows, werr := grid.EmitCSV(os.Stdout, agg)
-		if werr != nil {
-			return werr
-		}
-		if agg != nil {
-			if ferr := writeSnapshot(*telemetryOut, *agg); ferr != nil {
-				return ferr
-			}
-		}
-		if runErr != nil {
-			fmt.Fprintf(os.Stderr, "sweep: cancelled after %d/%d cells; flushed the completed rows\n", rows, grid.Size())
-			return runErr
-		}
-		fmt.Fprintf(os.Stderr, "sweep: %d cells\n", rows)
-		return nil
+	gopts := experiments.GridOptions{
+		Workers:     cfg.Workers,
+		Lease:       *lease,
+		Resume:      *resume,
+		Shards:      *shards,
+		GroupCommit: *groupCommit,
 	}
-
 	if prog != nil {
-		cfg.OnCellDone = prog.CellDone
+		gopts.OnCellDone = prog.CellDone
 	}
-	pts, done, err := experiments.SweepContext(ctx, cfg)
+	var (
+		grid   *experiments.Grid
+		runErr error
+	)
+	if *serveAddr != "" {
+		grid, runErr = runCoordinator(ctx, *serveAddr, *journalPath, cfg, gopts)
+	} else {
+		grid, runErr = experiments.OpenGrid(*journalPath, cfg, gopts)
+		if runErr == nil {
+			runErr = grid.Run(ctx)
+		}
+	}
 	if prog != nil {
 		prog.Done()
 	}
-	if err != nil && ctx.Err() == nil {
-		return err
+	if grid == nil {
+		return runErr
 	}
-	// Keep the rows of completed cells in cell-index order — on interrupt
-	// that's the partial grid worth flushing; on a clean run it's
-	// everything.
-	completed := experiments.FilterCompleted(pts, done)
-	if werr := experiments.WriteSweepCSV(os.Stdout, completed); werr != nil {
+	defer grid.Close()
+	if runErr != nil && ctx.Err() == nil {
+		return runErr
+	}
+	// Stream the completed rows out of the grid in cell-index order — on
+	// interrupt that's the partial grid worth flushing; on a clean run it's
+	// everything. Results never pass through a grid-sized slice.
+	var agg *elastisim.TelemetrySnapshot
+	if *telemetryOut != "" {
+		agg = &elastisim.TelemetrySnapshot{}
+	}
+	rows, werr := grid.EmitCSV(os.Stdout, agg)
+	if werr != nil {
 		return werr
 	}
-	if *telemetryOut != "" {
-		if ferr := writeSnapshot(*telemetryOut, experiments.AggregateSnapshots(completed)); ferr != nil {
+	if agg != nil {
+		if ferr := writeSnapshot(*telemetryOut, *agg); ferr != nil {
 			return ferr
 		}
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep: cancelled after %d/%d cells; flushed the completed rows\n", len(completed), len(pts))
-		return err
+	if runErr != nil {
+		fmt.Fprintf(os.Stderr, "sweep: cancelled after %d/%d cells; flushed the completed rows\n", rows, grid.Size())
+		return runErr
 	}
-	fmt.Fprintf(os.Stderr, "sweep: %d cells\n", len(completed))
+	fmt.Fprintf(os.Stderr, "sweep: %d cells\n", rows)
 	return nil
+}
+
+// gridConfig parses the grid flags. Every axis is checked up front — an
+// unknown algorithm name included — so a bad grid is a usage error before
+// any cell runs.
+func gridConfig(algorithms, shares, seeds string, jobs, nodes, workers int) (experiments.SweepConfig, error) {
+	cfg := experiments.SweepConfig{Jobs: jobs, Nodes: nodes, Workers: workers}
+	for _, a := range strings.Split(algorithms, ",") {
+		if _, err := elastisim.NewAlgorithm(a); err != nil {
+			return cfg, cli.Usagef("bad algorithm %q (have %s)", a, strings.Join(elastisim.AlgorithmNames(), ", "))
+		}
+		cfg.Algorithms = append(cfg.Algorithms, a)
+	}
+	for _, s := range strings.Split(shares, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+		if err != nil || v < 0 || v > 1 {
+			return cfg, cli.Usagef("bad share %q", s)
+		}
+		cfg.Shares = append(cfg.Shares, v)
+	}
+	for _, s := range strings.Split(seeds, ",") {
+		v, err := strconv.ParseUint(strings.TrimSpace(s), 10, 64)
+		if err != nil {
+			return cfg, cli.Usagef("bad seed %q", s)
+		}
+		cfg.Seeds = append(cfg.Seeds, v)
+	}
+	return cfg, nil
 }
 
 func writeSnapshot(path string, agg elastisim.TelemetrySnapshot) error {
@@ -239,18 +235,6 @@ func writeSnapshot(path string, agg elastisim.TelemetrySnapshot) error {
 		return err
 	}
 	return f.Close()
-}
-
-// runJournaled runs the grid locally through the distwork journal:
-// killed runs restart with -resume from the first unfinished cell. The
-// returned grid (non-nil whenever the journal opened) is what the
-// caller streams the CSV from.
-func runJournaled(ctx context.Context, path string, cfg experiments.SweepConfig, gopts experiments.GridOptions) (*experiments.Grid, error) {
-	grid, err := experiments.OpenGrid(path, cfg, gopts)
-	if err != nil {
-		return nil, err
-	}
-	return grid, grid.Run(ctx)
 }
 
 // runCoordinator serves the grid's cells to HTTP workers and blocks
@@ -480,11 +464,4 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-time.After(d):
 		return true
 	}
-}
-
-func progHook(prog *telemetry.CellProgress) func() {
-	if prog == nil {
-		return nil
-	}
-	return prog.CellDone
 }

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cli"
 	"repro/internal/distwork"
 	"repro/internal/experiments"
 	"repro/internal/httpapi"
@@ -185,5 +186,28 @@ func TestWorkerCancelReleasesUnrunCells(t *testing.T) {
 		if int(claims) != grid.Size()+released || int(steals) != released {
 			t.Fatalf("batch %d: claims=%v steals=%v, want %d and %d", batch, claims, steals, grid.Size()+released, released)
 		}
+	}
+}
+
+// TestGridConfigRejectsBadAxes pins that a bad grid is a usage error
+// (exit 2) at flag parse, before any cell runs — an unknown algorithm
+// name included, which would otherwise fail only after the valid cells
+// had run.
+func TestGridConfigRejectsBadAxes(t *testing.T) {
+	for _, tc := range []struct{ algorithms, shares, seeds string }{
+		{"fcfs,bogus", "0", "1"},
+		{"fcfs", "0,1.5", "1"},
+		{"fcfs", "0", "1,x"},
+	} {
+		if _, err := gridConfig(tc.algorithms, tc.shares, tc.seeds, 10, 16, 1); !errors.Is(err, cli.ErrUsage) {
+			t.Errorf("%+v: err = %v, want a usage error", tc, err)
+		}
+	}
+	cfg, err := gridConfig("fcfs,easy", "0,0.5", "1,2", 10, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if experiments.GridSize(cfg) != 8 {
+		t.Fatalf("grid %+v has %d cells, want 8", cfg, experiments.GridSize(cfg))
 	}
 }

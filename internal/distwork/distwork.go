@@ -206,17 +206,30 @@ type Options[P any] struct {
 	// sequence order, so after a crash everything past the highest
 	// journaled sequence is simply re-fed.
 	Source func(seq uint64) (P, bool)
-	// Evict drops terminal tasks from memory once journaled (requires
-	// Open): the journal record — whose location is handed to OnSettled —
-	// becomes the only copy of the result, readable via ReadRecord.
-	// Evicted ids keep exactly-once semantics through a settled-sequence
-	// bitmap: a stale worker's finish gets ErrNotOwner, not ErrNotFound.
+	// Evict drops terminal tasks from memory once settled. In a journaled
+	// store the journal record — whose location is handed to OnSettled —
+	// becomes the only copy of the result, readable via ReadRecord; in a
+	// memory-only store OnSettled receives the only copy. Evicted ids keep
+	// exactly-once semantics through a settled-sequence bitmap: a stale
+	// worker's finish gets ErrNotOwner, not ErrNotFound.
 	Evict bool
-	// OnSettled, when set with Evict, is called (under the store lock —
-	// do not call back into the store) for every task that reaches a
-	// terminal state, live or during replay, with the journal location
-	// of its authoritative record.
-	OnSettled func(seq uint64, st State, loc RecLoc)
+	// OnSettled, when set, is called (under the store lock — do not call
+	// back into the store) for every task a finish settles, and with
+	// Evict for every terminal task an Open replays.
+	OnSettled func(Settlement)
+}
+
+// Settlement reports one task reaching a terminal state to
+// Options.OnSettled.
+type Settlement struct {
+	Seq   uint64
+	State State
+	// Loc locates the task's authoritative journal record (zero in a
+	// memory-only store).
+	Loc RecLoc
+	// Result and Error are the outcome of a live finish. A replayed
+	// settlement leaves them empty: the record at Loc holds them.
+	Result, Error string
 }
 
 func (o Options[P]) withDefaults() Options[P] {
@@ -300,7 +313,6 @@ func New[P any](opts Options[P]) *Store[P] {
 		evicted: make(map[State]uint64),
 		opts:    opts.withDefaults(),
 	}
-	s.opts.Evict = false // eviction needs a journal to hold the results
 	s.cond = sync.NewCond(&s.mu)
 	s.m = newStoreMetrics(s, s.opts)
 	return s
@@ -322,7 +334,6 @@ func New[P any](opts Options[P]) *Store[P] {
 // not O(tasks).
 func Open[P any](path string, opts Options[P]) (*Store[P], error) {
 	s := New(opts)
-	s.opts.Evict = opts.Evict // New strips it; with a journal it is legal
 	lay, err := detectLayout(path)
 	if err != nil {
 		return nil, err
@@ -449,12 +460,7 @@ func (s *Store[P]) replayStreaming(path string, lay journalLayout, cfg journalCo
 			}
 		}
 	}()
-	type settledCB struct {
-		seq uint64
-		st  State
-		loc RecLoc
-	}
-	var settled []settledCB
+	var settled []Settlement
 	for seq := uint64(1); seq <= maxSeq; seq++ {
 		m := metas[seq-1]
 		if m.loc.Len == 0 && m.state == "" {
@@ -500,7 +506,7 @@ func (s *Store[P]) replayStreaming(path string, lay journalLayout, cfg journalCo
 		}
 		s.setSettledBit(seq)
 		s.evicted[m.state]++
-		settled = append(settled, settledCB{seq: seq, st: m.state, loc: loc})
+		settled = append(settled, Settlement{Seq: seq, State: m.state, Loc: loc})
 	}
 	jr, err := comp.finish()
 	if err != nil {
@@ -525,7 +531,7 @@ func (s *Store[P]) replayStreaming(path string, lay journalLayout, cfg journalCo
 	s.seq = maxSeq
 	if s.opts.OnSettled != nil {
 		for _, c := range settled {
-			s.opts.OnSettled(c.seq, c.st, c.loc)
+			s.opts.OnSettled(c)
 		}
 	}
 	return jr, nil
@@ -963,18 +969,26 @@ func (s *Store[P]) finishLocked(id, worker string, st State, result, errMsg stri
 	delete(s.active, id)
 	s.m.finished[st].Inc()
 	loc, journaled := s.record(t)
-	if s.opts.Evict && s.journal != nil {
-		if seq, ok := parseSeq(id, s.opts.IDPrefix); ok {
-			// The journal record is now the authoritative copy; drop the
-			// task from memory and remember only that its sequence settled.
-			s.setSettledBit(seq)
-			s.evicted[st]++
-			delete(s.tasks, id)
-			delete(s.okey, id)
-			if s.opts.OnSettled != nil && journaled {
-				s.opts.OnSettled(seq, st, loc)
-			}
-		}
+	if !s.opts.Evict && s.opts.OnSettled == nil {
+		return nil
+	}
+	seq, ok := parseSeq(id, s.opts.IDPrefix)
+	if !ok {
+		return nil
+	}
+	if s.opts.Evict {
+		// The journal record (or, memory-only, OnSettled's copy) is now
+		// the authoritative one; drop the task from memory and remember
+		// only that its sequence settled.
+		s.setSettledBit(seq)
+		s.evicted[st]++
+		delete(s.tasks, id)
+		delete(s.okey, id)
+	}
+	// A journaled store reports only records that landed, so the
+	// location handed out is always readable.
+	if s.opts.OnSettled != nil && (journaled || s.journal == nil) {
+		s.opts.OnSettled(Settlement{Seq: seq, State: st, Loc: loc, Result: result, Error: errMsg})
 	}
 	return nil
 }

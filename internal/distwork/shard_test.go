@@ -538,7 +538,7 @@ func TestEvictingStoreJournalIsTheResult(t *testing.T) {
 		GroupCommit: time.Millisecond,
 		Source:      source,
 		Evict:       true,
-		OnSettled:   func(seq uint64, st State, loc RecLoc) { settled[seq] = loc },
+		OnSettled:   func(st Settlement) { settled[st.Seq] = st.Loc },
 	}
 	s, err := Open(path, opts)
 	if err != nil {
@@ -582,7 +582,7 @@ func TestEvictingStoreJournalIsTheResult(t *testing.T) {
 	// OnSettled, the two claimed tasks requeue, and the remainder re-feed.
 	resumed := map[uint64]RecLoc{}
 	opts2 := opts
-	opts2.OnSettled = func(seq uint64, st State, loc RecLoc) { resumed[seq] = loc }
+	opts2.OnSettled = func(st Settlement) { resumed[st.Seq] = st.Loc }
 	s2, err := Open(path, opts2)
 	if err != nil {
 		t.Fatal(err)

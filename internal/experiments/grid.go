@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -16,24 +17,27 @@ import (
 	"repro/internal/obs"
 )
 
-// The journaled grid runner puts a sweep's cells through the same
-// work-distribution core as elastisimd's job queue: every cell is a
-// distwork task, every completion is journaled with its canonical
-// encoded result, and a killed sweep reopened with Resume picks up at
-// the first incomplete cell — completed cells replay from the journal
-// and never re-run. The same store serves the distributed mode: a
-// coordinator leases cells to HTTP workers (internal/httpapi.LeaseAPI)
-// instead of a local pool, with lease expiry returning a dead worker's
-// cells to the pool for the survivors to steal.
+// The grid runner is the one execution path of every sweep. It puts a
+// sweep's cells through the same work-distribution core as elastisimd's
+// job queue: every cell is a distwork task. An in-process sweep
+// (SweepContext) is a memory-only grid. A journaled grid journals every
+// completion with its canonical encoded result, and a killed sweep
+// reopened with Resume picks up at the first incomplete cell —
+// completed cells replay from the journal and never re-run. The same
+// store serves the distributed mode: a coordinator leases cells to HTTP
+// workers (internal/httpapi.LeaseAPI) instead of a local pool, with
+// lease expiry returning a dead worker's cells to the pool for the
+// survivors to steal.
 //
 // The grid never materializes its cells: the store is fed from the
-// CellAt cursor one claim at a time, and journaled grids run in the
-// store's evicting mode — a settled cell's result lives only in the
-// journal, indexed by a per-cell record location. Coordinator memory is
-// O(active leases) + O(one record location per cell), which is what
-// makes million-cell grids feasible.
+// CellAt cursor one claim at a time, and runs in its evicting mode — a
+// settled cell leaves the store. A journaled grid's result then lives
+// only in the journal, indexed by a per-cell record location, so
+// coordinator memory is O(active leases) + O(one record location per
+// cell), which is what makes million-cell grids feasible. A memory-only
+// grid keeps each settled result decoded, one slot per cell.
 
-// GridOptions tunes a journaled grid run.
+// GridOptions tunes a grid run.
 type GridOptions struct {
 	// Workers sizes the local pool for Run (0 = one per CPU).
 	Workers int
@@ -53,8 +57,11 @@ type GridOptions struct {
 	// Metrics/Flight attach observability (sweep_* series).
 	Metrics *obs.Registry
 	Flight  *obs.FlightRecorder
-	// OnCellDone, when set, is called once per newly finished cell,
-	// possibly from concurrent worker goroutines.
+	// OnCellDone, when set, is called once per cell that settles done —
+	// run by the local pool, finished by a remote worker, or replayed
+	// from a resumed journal. It runs under the grid store's lock,
+	// possibly from concurrent goroutines, and must not call back into
+	// the grid.
 	OnCellDone func()
 
 	// runCell overrides cell execution (tests: fake slow/failing cells).
@@ -71,22 +78,26 @@ func (o GridOptions) withDefaults() GridOptions {
 	return o
 }
 
-// Grid is a sweep grid journaled through a distwork store.
+// Grid is a sweep grid run through a distwork store, journaled or
+// memory-only.
 type Grid struct {
 	store *distwork.Store[GridCell]
 	cfg   SweepConfig // defaults applied
 	size  int
 	opts  GridOptions
 
-	// Settled-cell index for journaled grids: one state code and journal
-	// record location per cell. This — not the results — is the only
-	// per-cell memory the coordinator holds. Nil for memory-only grids,
-	// whose terminal tasks stay resident in the store.
+	// Settled-cell index: terminal tasks leave the store, and the grid
+	// keeps one state code per cell plus where the cell's outcome lives.
+	// A journaled grid keeps only the journal record location — this,
+	// not the results, is the only per-cell memory the coordinator
+	// holds. A memory-only grid keeps the decoded results themselves.
 	mu     sync.Mutex
-	states []byte // indexed by cell: 0 unsettled, else a cellState code
-	locs   []distwork.RecLoc
-	done   int    // cells settled done
-	badSeq uint64 // journal sequence outside the grid (mismatch evidence)
+	states []byte            // indexed by cell: 0 unsettled, else a cellState code
+	locs   []distwork.RecLoc // journaled grids
+	pts    []SweepPoint      // memory-only grids: results of done cells
+	fails  map[int]string    // memory-only grids: errors of failed cells
+	done   int               // cells settled done
+	badSeq uint64            // journal sequence outside the grid (mismatch evidence)
 }
 
 // cellState codes compress distwork.State to a byte for the per-cell index.
@@ -162,7 +173,7 @@ func OpenGrid(path string, cfg SweepConfig, opts GridOptions) (*Grid, error) {
 	opts = opts.withDefaults()
 	dcfg := cfg.withDefaults()
 	size := len(dcfg.Seeds) * len(dcfg.Shares) * len(dcfg.Algorithms)
-	g := &Grid{cfg: dcfg, size: size, opts: opts}
+	g := &Grid{cfg: dcfg, size: size, opts: opts, states: make([]byte, size)}
 	sopts := gridStoreOptions(opts)
 	sopts.Source = func(seq uint64) (GridCell, bool) {
 		if seq == 0 || seq > uint64(size) {
@@ -170,7 +181,11 @@ func OpenGrid(path string, cfg SweepConfig, opts GridOptions) (*Grid, error) {
 		}
 		return cellAt(dcfg, int(seq)-1), true
 	}
+	sopts.Evict = true
+	sopts.OnSettled = g.noteSettled
 	if path == "" {
+		g.pts = make([]SweepPoint, size)
+		g.fails = map[int]string{}
 		g.store = distwork.New(sopts)
 		return g, nil
 	}
@@ -183,15 +198,12 @@ func OpenGrid(path string, cfg SweepConfig, opts GridOptions) (*Grid, error) {
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
-	g.states = make([]byte, size)
 	g.locs = make([]distwork.RecLoc, size)
 	sopts.Shards = opts.Shards
 	sopts.GroupCommit = opts.GroupCommit
 	// The journal header carries the grid fingerprint that makes
 	// resume-mismatch detection exact.
 	sopts.Meta = gridMeta(dcfg)
-	sopts.Evict = true
-	sopts.OnSettled = g.noteSettled
 	store, err := distwork.Open(path, sopts)
 	if err != nil {
 		if strings.Contains(err.Error(), "different work set") {
@@ -207,25 +219,44 @@ func OpenGrid(path string, cfg SweepConfig, opts GridOptions) (*Grid, error) {
 	return g, nil
 }
 
-// noteSettled is the store's OnSettled hook: it records the journal
-// location of a cell's terminal record in the per-cell index. Called
-// under the store lock (both at replay and at finish), so it must not
-// call back into the store.
-func (g *Grid) noteSettled(seq uint64, st distwork.State, loc distwork.RecLoc) {
+// noteSettled is the store's OnSettled hook and the one place a cell
+// counts as done: it records the cell's outcome in the per-cell index —
+// the journal location of its terminal record, or for a memory-only
+// grid the decoded result — and fires OnCellDone. Called under the
+// store lock (both at replay and at finish), so it must not call back
+// into the store.
+func (g *Grid) noteSettled(st distwork.Settlement) {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	if seq == 0 || seq > uint64(g.size) {
+	if st.Seq == 0 || st.Seq > uint64(g.size) {
 		if g.badSeq == 0 {
-			g.badSeq = seq
+			g.badSeq = st.Seq
 		}
+		g.mu.Unlock()
 		return
 	}
-	i := int(seq) - 1
-	if g.states[i] == cellUnsettled && st == distwork.StateDone {
+	i, code := int(st.Seq)-1, stateCode(st.State)
+	if g.locs != nil {
+		g.locs[i] = st.Loc
+	} else if code == cellDone {
+		p, err := DecodeCellResult(st.Result)
+		if err != nil {
+			// An undecodable result (a misbehaving remote worker) fails
+			// the cell instead of poisoning the output.
+			code, g.fails[i] = cellFailed, err.Error()
+		}
+		g.pts[i] = p
+	} else if code == cellFailed {
+		g.fails[i] = st.Error
+	}
+	newlyDone := code == cellDone && g.states[i] != cellDone
+	g.states[i] = code
+	if newlyDone {
 		g.done++
 	}
-	g.states[i] = stateCode(st)
-	g.locs[i] = loc
+	g.mu.Unlock()
+	if newlyDone && g.opts.OnCellDone != nil {
+		g.opts.OnCellDone()
+	}
 }
 
 // validateJournal refuses to resume a journal that does not describe
@@ -270,18 +301,8 @@ func (g *Grid) Store() *distwork.Store[GridCell] { return g.store }
 // Size returns the number of cells in the grid.
 func (g *Grid) Size() int { return g.size }
 
-// Completed returns how many cells have settled done so far. For
-// memory-only grids it counts the store's terminal tasks.
+// Completed returns how many cells have settled done so far.
 func (g *Grid) Completed() int {
-	if g.states == nil {
-		n := 0
-		for _, t := range g.store.List() {
-			if t.State == distwork.StateDone {
-				n++
-			}
-		}
-		return n
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.done
@@ -292,10 +313,17 @@ func (g *Grid) Close() error { return g.store.Close() }
 
 // Runner returns the distwork runner that executes one claimed cell
 // in-process: mark running, heartbeat at a third of the lease while the
-// simulation runs, and finish with the canonically encoded result. On
-// ctx cancellation the cell is released back to pending (journaled), so
-// a subsequent resume re-runs only that cell.
+// simulation runs, and finish with the encoded result. It is the one
+// place that picks the encoding: a journaled grid stores the canonical
+// EncodeCellResult (so a resumed CSV is byte-identical), a memory-only
+// grid keeps the measured wall clock and heap figures. On ctx
+// cancellation the cell is released back to pending (journaled), so a
+// subsequent resume re-runs only that cell.
 func (g *Grid) Runner() distwork.Runner[GridCell] {
+	encode := EncodeCellResult
+	if g.locs == nil {
+		encode = encodeCell
+	}
 	return func(ctx context.Context, s *distwork.Store[GridCell], t distwork.Task[GridCell]) (string, error) {
 		if err := s.MarkRunning(t.ID, t.Worker); err != nil {
 			return "", err
@@ -324,22 +352,17 @@ func (g *Grid) Runner() distwork.Runner[GridCell] {
 			}
 			return "", err
 		}
-		enc, err := EncodeCellResult(p)
-		if err != nil {
-			return "", err
-		}
-		if g.opts.OnCellDone != nil {
-			g.opts.OnCellDone()
-		}
-		return enc, nil
+		return encode(p)
 	}
 }
 
 // Run executes the grid's remaining cells on a local pool and blocks
-// until every cell is terminal or ctx is cancelled. Cells already
-// finished in the journal are not re-run. It returns ctx's error when
-// the run was cut short, otherwise the grid's cell error (Err) — nil
-// when every cell completed.
+// until every cell is terminal or ctx is cancelled. Once ctx is done no
+// further cell is dispatched; in-flight cells stop and return to
+// pending, and cells already finished (in this run or in the journal)
+// stay valid. It returns the grid's cell error (Err) when a cell
+// genuinely failed — even if the run was also cut short — else ctx's
+// error when it was cut short, else nil.
 func (g *Grid) Run(ctx context.Context) error {
 	poolCtx, stopPool := context.WithCancel(ctx)
 	defer stopPool()
@@ -348,106 +371,91 @@ func (g *Grid) Run(ctx context.Context) error {
 	err := g.store.WaitSettled(ctx)
 	stopPool()
 	pool.Wait()
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
+	if err != nil && ctx.Err() == nil {
 		return err
 	}
-	return g.Err()
+	if ferr := g.Err(); ferr != nil {
+		return ferr
+	}
+	return ctx.Err()
 }
 
-// forEachTerminal streams every terminal cell in grid order: journaled
-// grids read each cell's settling record back from the journal (the
-// results are not on the heap); memory grids walk the resident tasks.
-// fn runs with one task at a time — total memory is O(1) per cell.
-func (g *Grid) forEachTerminal(fn func(i int, t distwork.Task[GridCell]) error) error {
-	if g.states == nil {
-		for _, t := range g.store.List() {
-			if !t.State.Terminal() {
-				continue
-			}
-			i := t.Payload.Index
-			if i < 0 || i >= g.size {
-				return fmt.Errorf("journal cell index %d out of range", i)
-			}
-			if err := fn(i, t); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i := 0; i < g.size; i++ {
+// result returns cell i's result when the cell settled done: memory-only
+// grids hold it decoded, journaled grids read the cell's settling record
+// back from the journal (the results are not on the heap).
+func (g *Grid) result(i int) (SweepPoint, bool, error) {
+	if g.locs == nil {
 		g.mu.Lock()
-		code, loc := g.states[i], g.locs[i]
-		g.mu.Unlock()
-		if code == cellUnsettled {
-			continue
-		}
-		t, err := g.store.ReadRecord(loc)
-		if err != nil {
-			return fmt.Errorf("cell %d: reading journal record: %w", i, err)
-		}
-		if t.State != codeState(code) {
-			return fmt.Errorf("cell %d: journal record state %s does not match index %s", i, t.State, codeState(code))
-		}
-		if err := fn(i, t); err != nil {
-			return err
-		}
+		defer g.mu.Unlock()
+		return g.pts[i], g.states[i] == cellDone, nil
 	}
-	return nil
+	t, ok, err := g.record(i, cellDone)
+	if !ok || err != nil {
+		return SweepPoint{}, false, err
+	}
+	p, err := DecodeCellResult(t.Result)
+	if err != nil {
+		return SweepPoint{}, false, fmt.Errorf("cell %d: %w", i, err)
+	}
+	return p, true, nil
+}
+
+// record reads back a journaled cell's settling record when the index
+// holds the cell in state code want.
+func (g *Grid) record(i int, want byte) (distwork.Task[GridCell], bool, error) {
+	g.mu.Lock()
+	code, loc := g.states[i], g.locs[i]
+	g.mu.Unlock()
+	if code != want {
+		return distwork.Task[GridCell]{}, false, nil
+	}
+	t, err := g.store.ReadRecord(loc)
+	if err != nil {
+		return t, false, fmt.Errorf("cell %d: reading journal record: %w", i, err)
+	}
+	if t.State != codeState(code) {
+		return t, false, fmt.Errorf("cell %d: journal record state %s does not match index %s", i, t.State, codeState(code))
+	}
+	return t, true, nil
 }
 
 // Err returns the deterministic cell-failure error: the failed cell
-// with the lowest index, regardless of completion order — the same
-// contract as runIndexedCtx. Nil when no cell failed.
+// with the lowest index, regardless of completion order. Nil when no
+// cell failed.
 func (g *Grid) Err() error {
-	var ferr error
-	err := g.forEachTerminal(func(i int, t distwork.Task[GridCell]) error {
-		if t.State == distwork.StateFailed && ferr == nil {
-			ferr = fmt.Errorf("cell %d (%s, %g, %d): %s",
-				i, t.Payload.Algorithm, t.Payload.Share, t.Payload.Seed, t.Error)
-			return errStopIteration
-		}
+	g.mu.Lock()
+	i := bytes.IndexByte(g.states, cellFailed)
+	msg := g.fails[i] // memory-only grids; a journal holds the rest
+	g.mu.Unlock()
+	if i < 0 {
 		return nil
-	})
-	if err != nil && !errors.Is(err, errStopIteration) {
-		return err
 	}
-	return ferr
+	if g.locs != nil {
+		t, _, err := g.record(i, cellFailed)
+		if err != nil {
+			return err
+		}
+		msg = t.Error
+	}
+	c := cellAt(g.cfg, i)
+	return fmt.Errorf("cell %d (%s, %g, %d): %s", i, c.Algorithm, c.Share, c.Seed, msg)
 }
 
-var errStopIteration = errors.New("stop iteration")
-
-// Collect merges the store's terminal cells into grid order: the points
+// Collect merges the grid's settled cells into grid order: the points
 // slice and done bitmap are indexed by cell, with failed cells reported
 // as the error of the lowest failing index. Collect materializes the
 // whole grid — million-cell callers should stream with EmitCSV instead.
 func (g *Grid) Collect() ([]SweepPoint, []bool, error) {
 	pts := make([]SweepPoint, g.size)
 	done := make([]bool, g.size)
-	var ferr error
-	err := g.forEachTerminal(func(i int, t distwork.Task[GridCell]) error {
-		switch t.State {
-		case distwork.StateDone:
-			p, err := DecodeCellResult(t.Result)
-			if err != nil {
-				return fmt.Errorf("cell %d: %w", i, err)
-			}
-			pts[i] = p
-			done[i] = true
-		case distwork.StateFailed:
-			if ferr == nil {
-				ferr = fmt.Errorf("cell %d (%s, %g, %d): %s",
-					i, t.Payload.Algorithm, t.Payload.Share, t.Payload.Seed, t.Error)
-			}
+	for i := range g.size {
+		p, ok, err := g.result(i)
+		if err != nil {
+			return nil, nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+		pts[i], done[i] = p, ok
 	}
-	return pts, done, ferr
+	return pts, done, g.Err()
 }
 
 // EmitCSV streams the completed cells as CSV rows in grid order —
@@ -460,22 +468,21 @@ func (g *Grid) EmitCSV(w io.Writer, agg *elastisim.TelemetrySnapshot) (int, erro
 		return 0, err
 	}
 	rows := 0
-	err := g.forEachTerminal(func(i int, t distwork.Task[GridCell]) error {
-		if t.State != distwork.StateDone {
-			return nil
-		}
-		p, err := DecodeCellResult(t.Result)
+	for i := range g.size {
+		p, ok, err := g.result(i)
 		if err != nil {
-			return fmt.Errorf("cell %d: %w", i, err)
+			return rows, err
+		}
+		if !ok {
+			continue
 		}
 		if err := writeSweepCSVRow(w, p); err != nil {
-			return err
+			return rows, err
 		}
 		if agg != nil {
 			agg.Add(p.Snapshot)
 		}
 		rows++
-		return nil
-	})
-	return rows, err
+	}
+	return rows, nil
 }

@@ -32,8 +32,14 @@ func TestGridEmitCSVMatchesCollect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var completed []SweepPoint
+	for i, d := range done {
+		if d {
+			completed = append(completed, pts[i])
+		}
+	}
 	var want bytes.Buffer
-	if err := WriteSweepCSV(&want, FilterCompleted(pts, done)); err != nil {
+	if err := WriteSweepCSV(&want, completed); err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer

@@ -3,36 +3,17 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-)
 
-// TestFilterCompletedIndexOrder pins the partial-grid merge contract:
-// completed rows come out in cell-index order, never in completion
-// order, so a partial flush is a prefix-stable subset of the full grid.
-func TestFilterCompletedIndexOrder(t *testing.T) {
-	pts := []string{"c0", "c1", "c2", "c3", "c4"}
-	// Completion arrived out of order (4 finished first, then 1, then 3);
-	// the done bitmap is the only record of what completed.
-	done := []bool{false, true, false, true, true}
-	got := FilterCompleted(pts, done)
-	want := []string{"c1", "c3", "c4"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v (index order, not completion order)", got, want)
-		}
-	}
-	if all := FilterCompleted(pts, []bool{true, true, true, true, true}); len(all) != 5 || all[0] != "c0" {
-		t.Fatalf("full grid: got %v", all)
-	}
-}
+	"repro/internal/distwork"
+)
 
 // smallGrid is a 4-cell config cheap enough to simulate for real.
 func smallGrid() SweepConfig {
@@ -237,7 +218,8 @@ func TestGridRefusesMismatch(t *testing.T) {
 }
 
 // TestGridFailedCellLowestIndexWins pins the deterministic error
-// contract shared with runIndexedCtx.
+// contract: the failed cell with the lowest index names the error,
+// whatever order the cells finished in.
 func TestGridFailedCellLowestIndexWins(t *testing.T) {
 	cfg := smallGrid()
 	var mu sync.Mutex
@@ -257,15 +239,15 @@ func TestGridFailedCellLowestIndexWins(t *testing.T) {
 	if err := grid.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "cell 1") {
 		t.Fatalf("want lowest failing index in error, got %v", err)
 	}
-	pts, done, err := grid.Collect()
+	_, done, err := grid.Collect()
 	if err == nil || !strings.Contains(err.Error(), "cell 1") {
 		t.Fatalf("want lowest failing index from Collect, got %v", err)
 	}
 	if !done[0] || done[1] || !done[2] || done[3] {
 		t.Fatalf("done bitmap: %v", done)
 	}
-	if len(FilterCompleted(pts, done)) != 2 {
-		t.Fatalf("completed count: %d", len(FilterCompleted(pts, done)))
+	if n := grid.Completed(); n != 2 {
+		t.Fatalf("completed count: %d", n)
 	}
 }
 
@@ -294,5 +276,212 @@ func TestGridLeaseExpiryReclaims(t *testing.T) {
 	stolen, ok := st.TryClaim("w-live")
 	if !ok || stolen.ID != first.ID || stolen.Attempts != 2 {
 		t.Fatalf("steal: %+v ok=%v", stolen, ok)
+	}
+}
+
+// TestGridCancellationStopsDispatch pins the interrupt contract of a
+// memory-only grid (the engine under SweepContext): once the context is
+// cancelled no further cell is dispatched, Run returns ctx.Err(), and
+// the cells that completed stay valid in grid order. Cell errors that
+// merely wrap the cancellation are attributed to it, not to the cell.
+func TestGridCancellationStopsDispatch(t *testing.T) {
+	cfg := SweepConfig{Algorithms: []string{"fcfs"}, Shares: []float64{0}, Jobs: 1, Nodes: 1}
+	for i := range 64 {
+		cfg.Seeds = append(cfg.Seeds, uint64(i+1))
+	}
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var (
+			mu  sync.Mutex
+			ran atomic.Int32
+		)
+		grid, err := OpenGrid("", cfg, GridOptions{
+			Workers: workers,
+			runCell: fakeCells(t, map[int]int{}, &mu, func(ctx context.Context, c GridCell) error {
+				if ran.Add(1) == 5 {
+					cancel()
+				}
+				if ctx.Err() != nil {
+					return fmt.Errorf("cell %d: %w", c.Index, ctx.Err())
+				}
+				return nil
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = grid.Run(ctx)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if int(ran.Load()) >= grid.Size() {
+			t.Errorf("workers=%d: all %d cells dispatched despite cancellation", workers, grid.Size())
+		}
+		pts, done, err := grid.Collect()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		completed := 0
+		for i, d := range done {
+			if d {
+				completed++
+				if pts[i].Events != uint64(1000+i) || pts[i].Seed != uint64(i+1) {
+					t.Errorf("workers=%d: done cell %d holds %+v", workers, i, pts[i])
+				}
+			}
+		}
+		if completed == 0 || completed != grid.Completed() {
+			t.Errorf("workers=%d: %d cells done, Completed() = %d", workers, completed, grid.Completed())
+		}
+		grid.Close()
+	}
+}
+
+// TestGridRealErrorBeatsCancellation pins that a genuine cell failure
+// wins over the cancellation it races with in Run's error.
+func TestGridRealErrorBeatsCancellation(t *testing.T) {
+	cfg := smallGrid()
+	cfg.Seeds = []uint64{1, 2, 3, 4}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var mu sync.Mutex
+	grid, err := OpenGrid("", cfg, GridOptions{
+		Workers: 4,
+		runCell: fakeCells(t, map[int]int{}, &mu, func(ctx context.Context, c GridCell) error {
+			if c.Index == 2 {
+				cancel()
+				return errors.New("boom")
+			}
+			return ctx.Err()
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grid.Close()
+	if err := grid.Run(ctx); err == nil || !strings.Contains(err.Error(), "cell 2") || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("err = %v, want the failure of cell 2", err)
+	}
+}
+
+// TestGridEmitCSVPartialIndexOrder pins the partial-grid merge contract:
+// completed rows come out in cell-index order, never in completion
+// order, so a partial flush is a prefix-stable subset of the full grid —
+// for memory-only and journaled grids alike.
+func TestGridEmitCSVPartialIndexOrder(t *testing.T) {
+	cfg := SweepConfig{Algorithms: []string{"fcfs"}, Shares: []float64{0}, Seeds: []uint64{1, 2, 3, 4, 5}, Jobs: 1, Nodes: 1}
+	for _, path := range []string{"", filepath.Join(t.TempDir(), "grid.jsonl")} {
+		grid, err := OpenGrid(path, cfg, GridOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := grid.Store()
+		tasks := st.TryClaimBatch("w", grid.Size())
+		if len(tasks) != grid.Size() {
+			t.Fatalf("claimed %d of %d cells", len(tasks), grid.Size())
+		}
+		point := func(i int) SweepPoint {
+			c := tasks[i].Payload
+			return SweepPoint{Algorithm: c.Algorithm, Seed: c.Seed, Jobs: c.Jobs, Events: uint64(1000 + i)}
+		}
+		// Completion arrives out of order: 4 first, then 1, then 3.
+		for _, i := range []int{4, 1, 3} {
+			enc, err := EncodeCellResult(point(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Finish(tasks[i].ID, "w", enc, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var want, got bytes.Buffer
+		if err := WriteSweepCSV(&want, []SweepPoint{point(1), point(3), point(4)}); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := grid.EmitCSV(&got, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows != 3 || got.String() != want.String() {
+			t.Fatalf("path %q: %d rows:\n%s\nwant index order:\n%s", path, rows, got.String(), want.String())
+		}
+		grid.Close()
+	}
+}
+
+// TestGridOnCellDoneCountsSettlements pins that progress is counted
+// where a cell settles done, not where it runs: a grid settled only
+// through Store.FinishBatch (a coordinator's remote workers) fires
+// OnCellDone once per done cell, and a resumed journal counts the cells
+// it replays as done.
+func TestGridOnCellDoneCountsSettlements(t *testing.T) {
+	cfg := smallGrid()
+	path := filepath.Join(t.TempDir(), "grid.jsonl")
+	for _, p := range []string{"", path} {
+		var calls atomic.Int32
+		grid, err := OpenGrid(p, cfg, GridOptions{OnCellDone: func() { calls.Add(1) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := grid.Store().TryClaimBatch("w", grid.Size())
+		items := make([]distwork.FinishItem, len(tasks))
+		for i, task := range tasks {
+			items[i] = distwork.FinishItem{ID: task.ID, Result: "{}"}
+		}
+		items[1].Error = "boom"
+		for i, err := range grid.Store().FinishBatch("w", items) {
+			if err != nil {
+				t.Fatalf("path %q: finishing %s: %v", p, items[i].ID, err)
+			}
+		}
+		want := int32(len(tasks) - 1)
+		if calls.Load() != want || grid.Completed() != int(want) {
+			t.Fatalf("path %q: OnCellDone fired %d times, Completed() = %d, want %d", p, calls.Load(), grid.Completed(), want)
+		}
+		grid.Close()
+	}
+
+	var replayed atomic.Int32
+	grid, err := OpenGrid(path, cfg, GridOptions{Resume: true, OnCellDone: func() { replayed.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grid.Close()
+	if want := int32(grid.Size() - 1); replayed.Load() != want {
+		t.Fatalf("resume replayed %d done cells into OnCellDone, want %d", replayed.Load(), want)
+	}
+}
+
+// TestSweepWallClockOnlyUnjournaled pins where the result encoding is
+// chosen: a SweepContext (memory-only) cell keeps its measured wall
+// clock, while the same cell from a journaled grid is canonical.
+func TestSweepWallClockOnlyUnjournaled(t *testing.T) {
+	cfg := smallGrid()
+	cfg.Algorithms, cfg.Shares = cfg.Algorithms[:1], cfg.Shares[:1]
+	pts, _, err := SweepContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pts[0].Snapshot.Wall.RunNS == 0 {
+		t.Fatalf("SweepContext cell lost its wall clock: %+v", pts[0].Snapshot.Wall)
+	}
+	grid, err := OpenGrid(filepath.Join(t.TempDir(), "grid.jsonl"), cfg, GridOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grid.Close()
+	if err := grid.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	jpts, _, err := grid.Collect()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jpts[0].Snapshot.Wall.RunNS != 0 || jpts[0].WallMillis != 0 {
+		t.Fatalf("journaled cell is not canonical: wall %+v, wall_ms %d", jpts[0].Snapshot.Wall, jpts[0].WallMillis)
+	}
+	if jpts[0].Summary != pts[0].Summary || jpts[0].Events != pts[0].Events {
+		t.Fatal("journaled cell diverges from the SweepContext cell")
 	}
 }

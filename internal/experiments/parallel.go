@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"runtime"
 	"sync"
 )
@@ -10,10 +8,10 @@ import (
 // Simulations within an experiment grid are independent: each cell builds
 // its own workload, platform, and engine from value parameters, so cells
 // can run on separate goroutines without sharing mutable state. runIndexed
-// is the worker-pool driver all grid experiments (Sweep, the E-series
-// drivers, the ablations) fan out through. Results land in a slice indexed
-// by cell, so the output order — and every simulated value in it — is
-// bit-identical to a sequential run regardless of scheduling.
+// is the worker-pool driver the E-series drivers and the ablations fan out
+// through. Results land in a slice indexed by cell, so the output order —
+// and every simulated value in it — is bit-identical to a sequential run
+// regardless of scheduling.
 
 // resolveWorkers maps a worker-count knob to an effective pool size:
 // 0 means one worker per CPU, and the pool never exceeds the cell count.
@@ -31,83 +29,39 @@ func resolveWorkers(workers, n int) int {
 // results in index order. Errors are deterministic too: the error from the
 // lowest failing index wins, however the goroutines interleave. With
 // workers <= 1 (or a single cell) everything runs inline on the caller's
-// goroutine.
+// goroutine. It drives the E-series experiments and the ablations, whose
+// in-process results are never journaled or leased; parameter sweeps run
+// on Grid instead.
 func runIndexed[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out, _, err := runIndexedCtx(context.Background(), workers, n,
-		func(_ context.Context, i int) (T, error) { return fn(i) })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// runIndexedCtx is runIndexed with cooperative cancellation: once ctx is
-// done no further cell is dispatched, and in-flight cells receive the ctx
-// so they can stop mid-simulation. It returns the per-cell results, a
-// bitmap of cells that completed without error, and the first real error
-// in index order. Cell errors caused by the cancellation itself (errors
-// wrapping ctx.Err()) are attributed to the cancellation, not the cell:
-// when no cell genuinely failed, the returned error is ctx.Err() — nil
-// for a run that was never cancelled. Completed cells in the result slice
-// stay valid either way, so callers can flush partial grids.
-func runIndexedCtx[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, []bool, error) {
 	out := make([]T, n)
-	done := make([]bool, n)
-	if n == 0 {
-		return out, done, ctx.Err()
-	}
 	errs := make([]error, n)
 	workers = resolveWorkers(workers, n)
 	if workers <= 1 {
-		for i := 0; i < n && ctx.Err() == nil; i++ {
-			out[i], errs[i] = fn(ctx, i)
-			done[i] = errs[i] == nil
+		for i := range n {
+			out[i], errs[i] = fn(i)
 		}
 	} else {
 		next := make(chan int)
 		var wg sync.WaitGroup
 		wg.Add(workers)
-		for w := 0; w < workers; w++ {
+		for range workers {
 			go func() {
 				defer wg.Done()
 				for i := range next {
-					out[i], errs[i] = fn(ctx, i)
-					done[i] = errs[i] == nil
+					out[i], errs[i] = fn(i)
 				}
 			}()
 		}
-	dispatch:
-		for i := 0; i < n; i++ {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				break dispatch
-			}
+		for i := range n {
+			next <- i
 		}
 		close(next)
 		wg.Wait()
 	}
-	cancelled := ctx.Err()
 	for _, err := range errs {
-		if err != nil && !(cancelled != nil && errors.Is(err, cancelled)) {
-			return out, done, err
+		if err != nil {
+			return nil, err
 		}
 	}
-	return out, done, cancelled
-}
-
-// FilterCompleted merges a partial grid deterministically: it keeps the
-// entries whose done bit is set, in cell-index order — never in worker
-// completion order. This is the single merge path for every partial
-// flush (interrupted sweeps, resumed journals, distributed grids), so
-// the emitted rows for any given completed set are byte-identical no
-// matter which workers finished which cells first.
-func FilterCompleted[T any](pts []T, done []bool) []T {
-	out := pts[:0:0]
-	for i, d := range done {
-		if d {
-			out = append(out, pts[i])
-		}
-	}
-	return out
+	return out, nil
 }

@@ -129,65 +129,6 @@ func TestSweepParallelEquivalence(t *testing.T) {
 	}
 }
 
-// runIndexedCtx must stop dispatching once the context is cancelled,
-// report which cells completed, and return ctx.Err() — while attributing
-// cell errors that merely wrap the cancellation to the cancellation, not
-// the cell.
-func TestRunIndexedCtxCancellation(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var ran atomic.Int32
-		out, done, err := runIndexedCtx(ctx, workers, 64, func(ctx context.Context, i int) (int, error) {
-			if ran.Add(1) == 5 {
-				cancel()
-			}
-			if ctx.Err() != nil {
-				return 0, fmt.Errorf("cell %d: %w", i, ctx.Err())
-			}
-			return i, nil
-		})
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if int(ran.Load()) >= 64 {
-			t.Errorf("workers=%d: all 64 cells dispatched despite cancellation", workers)
-		}
-		completed := 0
-		for i, d := range done {
-			if d {
-				completed++
-				if out[i] != i {
-					t.Errorf("workers=%d: done cell %d has value %d", workers, i, out[i])
-				}
-			}
-		}
-		if completed == 0 {
-			t.Errorf("workers=%d: no cell completed before cancellation", workers)
-		}
-	}
-}
-
-// A genuine cell failure beats the cancellation in the returned error.
-func TestRunIndexedCtxRealErrorWins(t *testing.T) {
-	boom := errors.New("boom")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	_, _, err := runIndexedCtx(ctx, 4, 16, func(ctx context.Context, i int) (int, error) {
-		if i == 2 {
-			cancel()
-			return 0, boom
-		}
-		if ctx.Err() != nil {
-			return 0, ctx.Err()
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want the cell failure", err)
-	}
-}
-
 // TestSweepContextPartialFlush pins the interrupt contract of sweeps:
 // cancelling mid-grid yields the completed cells (bit-identical to the
 // same cells of a full run) plus ctx.Err().

@@ -55,7 +55,8 @@ type SweepConfig struct {
 	// worker counts; only wall-clock measurements vary.
 	Workers int
 	// OnCellDone, when set, is called once per finished grid cell, possibly
-	// from concurrent worker goroutines (progress reporting hook).
+	// from concurrent worker goroutines (progress reporting hook). See
+	// GridOptions.OnCellDone for the calling context.
 	OnCellDone func()
 }
 
@@ -234,22 +235,31 @@ func Sweep(cfg SweepConfig) ([]SweepPoint, error) {
 	return pts, nil
 }
 
-// SweepContext is Sweep with cooperative cancellation. Once ctx is done,
-// no further cell starts and in-flight simulations stop between events
-// (each cell runs through an elastisim.Session driven by ctx). It returns
-// every point computed so far — cells that completed are valid in grid
-// order, the done bitmap says which — plus ctx.Err() when the sweep was
-// cut short, so callers can flush partial grids on interrupt.
+// SweepContext is Sweep with cooperative cancellation. It runs the grid
+// as a memory-only Grid — the same execution core as journaled and
+// distributed sweeps — so the measured wall clock is kept. Once ctx is
+// done, no further cell starts and in-flight simulations stop between
+// events (each cell runs through an elastisim.Session driven by ctx). It
+// returns every point computed so far — cells that completed are valid
+// in grid order, the done bitmap says which — plus ctx.Err() when the
+// sweep was cut short, so callers can flush partial grids on interrupt.
+// A genuine cell failure (the lowest failing index) beats the
+// cancellation in the returned error.
 func SweepContext(ctx context.Context, cfg SweepConfig) ([]SweepPoint, []bool, error) {
-	cfg = cfg.withDefaults()
-	size := len(cfg.Seeds) * len(cfg.Shares) * len(cfg.Algorithms)
-	return runIndexedCtx(ctx, cfg.Workers, size, func(ctx context.Context, i int) (SweepPoint, error) {
-		p, err := RunCell(ctx, cellAt(cfg, i))
-		if err == nil && cfg.OnCellDone != nil {
-			cfg.OnCellDone()
-		}
-		return p, err
-	})
+	g, err := OpenGrid("", cfg, GridOptions{Workers: cfg.Workers, OnCellDone: cfg.OnCellDone})
+	if err != nil {
+		return nil, nil, err
+	}
+	defer g.Close()
+	err = g.Run(ctx)
+	// Run has stopped the pool and nothing else serves this grid, so no
+	// cell settles any more: hand out the grid's own results rather than
+	// a Collect copy.
+	done := make([]bool, g.size)
+	for i, c := range g.states {
+		done[i] = c == cellDone
+	}
+	return g.pts, done, err
 }
 
 // EncodeCellResult canonicalizes a cell's result for the sweep journal
@@ -263,6 +273,11 @@ func SweepContext(ctx context.Context, cfg SweepConfig) ([]SweepPoint, []bool, e
 func EncodeCellResult(p SweepPoint) (string, error) {
 	p.WallMillis = 0
 	p.Snapshot = p.Snapshot.StripWall()
+	return encodeCell(p)
+}
+
+// encodeCell encodes a cell's result as measured, wall clock included.
+func encodeCell(p SweepPoint) (string, error) {
 	data, err := json.Marshal(p)
 	if err != nil {
 		return "", err
