@@ -139,10 +139,11 @@ func diffSnapshots(spec string, markdown bool) error {
 		Header: []string{"counter", "before", "after", "change"},
 	}
 	for _, row := range telemetry.Diff(a, b) {
-		t.AddRow(row.Name,
-			fmt.Sprintf("%g", row.A),
-			fmt.Sprintf("%g", row.B),
-			fmt.Sprintf("%+.1f%%", row.Change*100))
+		change := "new"
+		if row.A != 0 {
+			change = fmt.Sprintf("%+.1f%%", row.Change*100)
+		}
+		t.AddRow(row.Name, fmt.Sprintf("%g", row.A), fmt.Sprintf("%g", row.B), change)
 	}
 	t.AddNote("wall.* and mem.* rows are machine-dependent; counters above them are deterministic")
 	if markdown {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
+	"repro/internal/telemetry"
 )
 
 // Observability re-exports. The obs package observes the system *running*
@@ -89,29 +90,32 @@ func (so *sessionObs) recordPanic(ie *InternalError) {
 }
 
 // recordFinish runs exactly once per session, when a final Result is
-// cached, and exports the run's existing counters — kernel, scheduler,
-// solver — into the shared registry. Nothing here is re-counted: the
-// values come off the Result and engine stats that every run already
-// maintains.
-func (so *sessionObs) recordFinish(s *Session, res *Result, reason AbortReason) {
+// cached, and exports the run's telemetry counters that carry a
+// Prometheus name into the shared registry. Nothing here is re-counted:
+// the values come off the snapshot every run already takes. Jobs are
+// counted from the records, which hold only submitted jobs, so a
+// horizon-cut run exports fewer jobs than its snapshot carries.
+func (so *sessionObs) recordFinish(res *Result, reason AbortReason) {
 	if so == nil || so.finished {
 		return
 	}
 	so.finished = true
 	if so.reg != nil {
 		so.reg.Counter(fmt.Sprintf("elastisim_sessions_finished_total{reason=%q}", reason.String())).Inc()
-		so.reg.Help("elastisim_sim_events_total", "DES kernel events fired across finished sessions")
-		so.reg.Counter("elastisim_sim_events_total").Add(res.Events)
-		so.reg.Counter("elastisim_sim_invocations_total").Add(res.Invocations)
-		so.reg.Counter("elastisim_sim_invocations_elided_total").Add(res.Telemetry.Scheduler.Elided)
-		so.reg.Counter("elastisim_sim_decisions_total").Add(res.Decisions)
-		so.reg.Counter("elastisim_sim_solves_total").Add(res.Solves)
+		for _, c := range telemetry.Counters {
+			if c.Prom == "" {
+				continue
+			}
+			so.reg.Help(c.Prom, c.Help)
+			v := *c.Get(&res.Telemetry)
+			if c.Max {
+				so.reg.Gauge(c.Prom, nil).SetMax(float64(v))
+			} else {
+				so.reg.Counter(c.Prom).Add(v)
+			}
+		}
+		so.reg.Help("elastisim_sim_jobs_total", "jobs submitted in finished sessions")
 		so.reg.Counter("elastisim_sim_jobs_total").Add(uint64(len(res.Records)))
-		ks := s.eng.KernelStats()
-		so.reg.Counter("elastisim_sim_events_cancelled_total").Add(ks.Cancelled)
-		so.reg.Counter("elastisim_sim_ladder_top_transfers_total").Add(ks.TopTransfers)
-		so.reg.Counter("elastisim_sim_ladder_rung_spawns_total").Add(ks.RungSpawns)
-		so.reg.Gauge("elastisim_sim_peak_queue", nil).SetMax(float64(ks.PeakQueue))
 	}
 	so.flight.Recordf("session", "finished (%s): makespan=%.3fs events=%d invocations=%d jobs=%d",
 		reason, res.Summary.Makespan, res.Events, res.Invocations, len(res.Records))

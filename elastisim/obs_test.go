@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -49,23 +50,66 @@ func TestObsDoesNotChangeOutputs(t *testing.T) {
 
 	// The registry must reflect the run it observed.
 	text := scrape(t, cfg.Metrics)
-	for _, want := range []string{
-		"elastisim_sessions_started_total 1",
-		`elastisim_sessions_finished_total{reason="drained"} 1`,
-		fmt.Sprintf("elastisim_sim_events_total %d", res.Events),
-		fmt.Sprintf("elastisim_sim_invocations_total %d", res.Invocations),
-		fmt.Sprintf("elastisim_sim_decisions_total %d", res.Decisions),
-		fmt.Sprintf("elastisim_sim_jobs_total %d", len(res.Records)),
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q:\n%s", want, text)
-		}
-	}
+	checkSimSeries(t, text, res, "drained")
 	if _, err := obs.ValidateExposition(strings.NewReader(text)); err != nil {
 		t.Errorf("session exposition invalid: %v", err)
 	}
 	if cfg.Flight.Total() < 2 {
 		t.Errorf("flight recorded %d entries, want create + finish", cfg.Flight.Total())
+	}
+
+	// A horizon-cut session exports the jobs it submitted, not the
+	// workload size the snapshot carries.
+	cut := equivalenceConfig(t, Options{Horizon: 500})
+	cut.Metrics = NewMetricsRegistry()
+	cres, err := Run(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cres.Abort != AbortHorizon {
+		t.Fatalf("cut session aborted with %v, want horizon", cres.Abort)
+	}
+	if len(cres.Records) >= int(cres.Telemetry.Jobs) {
+		t.Fatalf("cut session has %d records for %d jobs; want fewer records than jobs",
+			len(cres.Records), cres.Telemetry.Jobs)
+	}
+	checkSimSeries(t, scrape(t, cut.Metrics), cres, "horizon")
+}
+
+// checkSimSeries pins every elastisim_sim_* sample line of a one-session
+// registry against the values the finished session's Result carries.
+func checkSimSeries(t *testing.T, text string, res *Result, reason string) {
+	t.Helper()
+	num := func(v uint64) string { return strconv.FormatFloat(float64(v), 'g', -1, 64) }
+	want := []string{
+		"elastisim_sessions_started_total 1",
+		fmt.Sprintf("elastisim_sessions_finished_total{reason=%q} 1", reason),
+		"elastisim_sim_events_total " + num(res.Events),
+		"elastisim_sim_invocations_total " + num(res.Invocations),
+		"elastisim_sim_invocations_elided_total " + num(res.Telemetry.Scheduler.Elided),
+		"elastisim_sim_decisions_total " + num(res.Decisions),
+		"elastisim_sim_solves_total " + num(res.Solves),
+		"elastisim_sim_jobs_total " + num(uint64(len(res.Records))),
+		"elastisim_sim_events_cancelled_total " + num(res.Telemetry.Kernel.Cancelled),
+		"elastisim_sim_ladder_top_transfers_total " + num(res.Telemetry.Kernel.TopTransfers),
+		"elastisim_sim_ladder_rung_spawns_total " + num(res.Telemetry.Kernel.RungSpawns),
+		"elastisim_sim_peak_queue " + num(res.Telemetry.Kernel.PeakQueue),
+	}
+	lines := map[string]bool{}
+	sim := 0
+	for _, line := range strings.Split(text, "\n") {
+		lines[line] = true
+		if strings.HasPrefix(line, "elastisim_sim_") {
+			sim++
+		}
+	}
+	for _, w := range want {
+		if !lines[w] {
+			t.Errorf("exposition missing sample line %q:\n%s", w, text)
+		}
+	}
+	if sim != 10 {
+		t.Errorf("exposition has %d elastisim_sim_* samples, want 10:\n%s", sim, text)
 	}
 }
 

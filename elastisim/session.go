@@ -171,7 +171,7 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 		return res, ctx.Err()
 	}
 	s.result = res
-	s.obs.recordFinish(s, res, reason)
+	s.obs.recordFinish(res, reason)
 	return res, nil
 }
 
@@ -268,7 +268,7 @@ func (s *Session) Result() (*Result, error) {
 	}
 	if reason == AbortDrained {
 		s.result = res
-		s.obs.recordFinish(s, res, reason)
+		s.obs.recordFinish(res, reason)
 	}
 	return res, nil
 }
@@ -286,18 +286,19 @@ func (s *Session) resultLocked(reason AbortReason) (res *Result, err error) {
 		if err != nil {
 			return
 		}
+		snap := s.eng.TelemetrySnapshot()
 		res = &Result{
 			Summary:          rec.Summary(),
 			Records:          rec.Records(),
 			Recorder:         rec,
-			Invocations:      s.eng.Invocations(),
-			Decisions:        s.eng.DecisionsApplied(),
-			Events:           s.eng.Steps(),
-			Solves:           s.eng.Solves(),
-			SolvedActivities: s.eng.SolvedActivities(),
+			Invocations:      snap.Scheduler.Invocations,
+			Decisions:        snap.Scheduler.Applied,
+			Events:           snap.Kernel.Fired,
+			Solves:           snap.Solver.Solves,
+			SolvedActivities: snap.Solver.SolvedActivities,
 			Warnings:         s.eng.Warnings(),
 			Trace:            s.eng.Trace(),
-			Telemetry:        s.eng.TelemetrySnapshot(),
+			Telemetry:        snap,
 			WallClock:        s.wall,
 			Abort:            reason,
 		}

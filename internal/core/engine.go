@@ -441,15 +441,6 @@ func (e *Engine) Now() float64 { return float64(e.kernel.Now()) }
 // Steps returns the number of kernel events executed.
 func (e *Engine) Steps() uint64 { return e.kernel.Steps() }
 
-// KernelStats samples the DES kernel's lifetime counters (events
-// scheduled/fired/cancelled, queue high-water mark, ladder re-bucketing
-// activity). Operational metrics export these directly instead of
-// re-counting on the hot path.
-func (e *Engine) KernelStats() des.KernelStats { return e.kernel.Stats() }
-
-// Invocations returns how many times the algorithm was invoked.
-func (e *Engine) Invocations() uint64 { return e.invocations }
-
 // TotalJobs returns the workload size.
 func (e *Engine) TotalJobs() int { return len(e.workload.Jobs) }
 
@@ -468,22 +459,6 @@ func (e *Engine) QueuedJobs() int { return e.queue.count }
 
 // RunningJobs returns the number of jobs currently holding nodes.
 func (e *Engine) RunningJobs() int { return e.running.count }
-
-// InvocationsElided returns how many scheduler invocations were batched
-// away because an invocation at the same timestamp had already seen a
-// bit-identical snapshot.
-func (e *Engine) InvocationsElided() uint64 { return e.invocationsElided }
-
-// Solves returns how many fluid-solver recomputations ran.
-func (e *Engine) Solves() uint64 { return e.pool.Solves() }
-
-// SolvedActivities returns the cumulative number of activities the fluid
-// solver re-solved — the work metric incremental component solving cuts
-// relative to the full-recompute baseline.
-func (e *Engine) SolvedActivities() uint64 { return e.pool.SolvedActivities() }
-
-// DecisionsApplied returns how many decisions passed validation.
-func (e *Engine) DecisionsApplied() uint64 { return e.decisionsApplied }
 
 // Warnings lists rejected decisions and other non-fatal anomalies.
 func (e *Engine) Warnings() []string { return e.warnings }

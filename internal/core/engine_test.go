@@ -365,7 +365,7 @@ func TestPeriodicOnlyInvocation(t *testing.T) {
 		DisableEventDriven: true,
 	})
 	wantClose(t, "start on tick", rec.Record(0).Start, 10)
-	if e.Invocations() == 0 {
+	if e.TelemetrySnapshot().Scheduler.Invocations == 0 {
 		t.Error("no invocations")
 	}
 }

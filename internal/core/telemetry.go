@@ -191,17 +191,10 @@ func (e *Engine) FinalizeTelemetry() {
 // artifact. Valid after Run; wall-clock and heap fields are the only
 // non-deterministic data and never feed back into simulation outputs.
 func (e *Engine) TelemetrySnapshot() telemetry.Snapshot {
-	ks := e.kernel.Stats()
 	snap := telemetry.Snapshot{
-		Runs: 1,
-		Jobs: len(e.workload.Jobs),
-		Kernel: telemetry.KernelStats{
-			Scheduled: ks.Scheduled,
-			Fired:     ks.Fired,
-			Cancelled: ks.Cancelled,
-			Recycled:  ks.Recycled,
-			PeakQueue: ks.PeakQueue,
-		},
+		Runs:   1,
+		Jobs:   uint64(len(e.workload.Jobs)),
+		Kernel: e.kernel.Stats(),
 		Solver: telemetry.SolverStats{
 			Solves:           e.pool.Solves(),
 			SolvedActivities: e.pool.SolvedActivities(),

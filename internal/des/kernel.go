@@ -23,6 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/telemetry"
 )
 
 // Time is a point in virtual time, in seconds since simulation start.
@@ -172,32 +174,14 @@ func (k *Kernel) Steps() uint64 { return k.steps }
 // Pending returns the number of live (non-cancelled) events queued.
 func (k *Kernel) Pending() int { return k.queue.Len() - k.tombs }
 
-// KernelStats are the kernel's lifetime counters, for self-profiling.
-// TopTransfers and RungSpawns describe the ladder queue's re-bucketing
-// activity and stay zero on the reference heap kernel; they are exported
-// for operational metrics only and are deliberately NOT part of the
-// telemetry snapshot, which must stay byte-identical across queue
-// implementations.
-type KernelStats struct {
-	Scheduled    uint64 // events ever enqueued (including recycled allocations)
-	Fired        uint64 // events popped and executed
-	Cancelled    uint64 // events tombstoned before firing
-	Recycled     uint64 // Schedule calls served from the free list
-	PeakQueue    int    // high-water mark of the queue, tombstones included
-	Pending      int    // live events still queued at sample time
-	TopTransfers uint64 // ladder overflow lists spread into rungs/bottom
-	RungSpawns   uint64 // ladder buckets subdivided into finer rungs
-}
-
-// Stats samples the kernel's counters.
-func (k *Kernel) Stats() KernelStats {
-	s := KernelStats{
+// Stats samples the kernel's lifetime counters, for self-profiling.
+func (k *Kernel) Stats() telemetry.KernelStats {
+	s := telemetry.KernelStats{
 		Scheduled: k.seq,
 		Fired:     k.steps,
 		Cancelled: k.cancelled,
 		Recycled:  k.recycled,
-		PeakQueue: k.peakQueue,
-		Pending:   k.Pending(),
+		PeakQueue: uint64(k.peakQueue),
 	}
 	if lq, ok := k.queue.(*ladderQueue); ok {
 		s.TopTransfers = lq.topTransfers

@@ -477,8 +477,8 @@ func TestKernelStats(t *testing.T) {
 	if st.PeakQueue != 10 {
 		t.Errorf("PeakQueue = %d, want 10", st.PeakQueue)
 	}
-	if st.Pending != 1 {
-		t.Errorf("Pending = %d, want 1", st.Pending)
+	if k.Pending() != 1 {
+		t.Errorf("Pending = %d, want 1", k.Pending())
 	}
 }
 

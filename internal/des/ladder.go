@@ -118,8 +118,8 @@ type ladderQueue struct {
 	bigPool  [][]*Event    // recycled large bucket slices (live accumulation)
 	rungPool []*ladderRung // recycled exhausted rungs (all-nil bucket arrays)
 
-	// Re-bucketing counters, exported through KernelStats for operational
-	// observability. They count structural work (cold paths only — a
+	// Re-bucketing counters, sampled by Kernel.Stats into the telemetry
+	// snapshot. They count structural work (cold paths only — a
 	// transfer or spawn touches many events at once) and never influence
 	// routing, so the ladder's fire order is untouched.
 	topTransfers uint64 // overflow list spread over a rung / the bottom

@@ -124,7 +124,7 @@ func TestSweepParallelEquivalence(t *testing.T) {
 	if fmt.Sprintf("%+v", aggSeq) != fmt.Sprintf("%+v", aggPar) {
 		t.Errorf("aggregated snapshots differ:\nseq: %+v\npar: %+v", aggSeq, aggPar)
 	}
-	if aggSeq.Runs != len(seq) || aggSeq.Kernel.Fired == 0 {
+	if aggSeq.Runs != uint64(len(seq)) || aggSeq.Kernel.Fired == 0 {
 		t.Errorf("aggregate implausible: %+v", aggSeq)
 	}
 }

@@ -7,13 +7,18 @@ import (
 	"sort"
 )
 
-// KernelStats are the DES kernel's lifetime counters.
+// KernelStats are the DES kernel's lifetime counters. The kernel samples
+// them straight into this struct (des.Kernel.Stats), so the kernel and
+// the snapshot share one definition. TopTransfers and RungSpawns count the
+// ladder queue's re-bucketing and stay zero on the reference heap kernel.
 type KernelStats struct {
-	Scheduled uint64 `json:"scheduled"` // events ever scheduled
-	Fired     uint64 `json:"fired"`     // events popped and executed
-	Cancelled uint64 `json:"cancelled"` // events tombstoned before firing
-	Recycled  uint64 `json:"recycled"`  // events reused from the free list
-	PeakQueue int    `json:"peak_queue"`
+	Scheduled    uint64 `json:"scheduled"`     // events ever scheduled
+	Fired        uint64 `json:"fired"`         // events popped and executed
+	Cancelled    uint64 `json:"cancelled"`     // events tombstoned before firing
+	Recycled     uint64 `json:"recycled"`      // events reused from the free list
+	PeakQueue    uint64 `json:"peak_queue"`    // queue high-water mark, tombstones included
+	TopTransfers uint64 `json:"top_transfers"` // ladder overflow lists spread into rungs/bottom
+	RungSpawns   uint64 `json:"rung_spawns"`   // ladder buckets subdivided into finer rungs
 }
 
 // SolverStats are the fluid solver's counters.
@@ -51,10 +56,11 @@ type MemStats struct {
 
 // Snapshot is the self-profiling artifact of one or more simulation runs:
 // every internal counter the simulator keeps, in one JSON-serializable
-// record. Snapshots from parallel workers aggregate with Add.
+// record. Snapshots from parallel workers aggregate with Add. Its integer
+// counters, ByKind aside, are the rows of Counters.
 type Snapshot struct {
-	Runs      int            `json:"runs"`
-	Jobs      int            `json:"jobs"`
+	Runs      uint64         `json:"runs"`
+	Jobs      uint64         `json:"jobs"`
 	Kernel    KernelStats    `json:"kernel"`
 	Solver    SolverStats    `json:"solver"`
 	Scheduler SchedulerStats `json:"scheduler"`
@@ -62,23 +68,64 @@ type Snapshot struct {
 	Mem       MemStats       `json:"mem"`
 }
 
-// Add folds another snapshot into s: counters sum, gauges take the max.
+// Counter is one row of the snapshot's counter schema. Add folds each row,
+// Diff prints one line per row, and a finished session exports each row
+// that has a Prometheus name to its metrics registry.
+type Counter struct {
+	Name string // dotted snapshot name, as Diff prints it
+	Prom string // Prometheus family a finished session exports; "" if none
+	Help string
+	Max  bool // a high-water mark: Add keeps the max, export is a gauge
+	Get  func(*Snapshot) *uint64
+}
+
+// Counters is the counter schema in Diff's row order. The scheduler rows
+// come last so that Diff can print the per-kind decision counts right
+// after them.
+var Counters = []Counter{
+	{Name: "runs", Help: "simulation runs aggregated",
+		Get: func(s *Snapshot) *uint64 { return &s.Runs }},
+	{Name: "jobs", Help: "jobs in the simulated workloads",
+		Get: func(s *Snapshot) *uint64 { return &s.Jobs }},
+	{Name: "kernel.scheduled", Help: "DES kernel events ever scheduled",
+		Get: func(s *Snapshot) *uint64 { return &s.Kernel.Scheduled }},
+	{Name: "kernel.fired", Prom: "elastisim_sim_events_total", Help: "DES kernel events fired across finished sessions",
+		Get: func(s *Snapshot) *uint64 { return &s.Kernel.Fired }},
+	{Name: "kernel.cancelled", Prom: "elastisim_sim_events_cancelled_total", Help: "DES kernel events cancelled before firing",
+		Get: func(s *Snapshot) *uint64 { return &s.Kernel.Cancelled }},
+	{Name: "kernel.recycled", Help: "DES kernel events reused from the free list",
+		Get: func(s *Snapshot) *uint64 { return &s.Kernel.Recycled }},
+	{Name: "kernel.peak_queue", Prom: "elastisim_sim_peak_queue", Help: "largest DES event queue of any finished session", Max: true,
+		Get: func(s *Snapshot) *uint64 { return &s.Kernel.PeakQueue }},
+	{Name: "kernel.top_transfers", Prom: "elastisim_sim_ladder_top_transfers_total", Help: "ladder queue overflow lists spread into rungs",
+		Get: func(s *Snapshot) *uint64 { return &s.Kernel.TopTransfers }},
+	{Name: "kernel.rung_spawns", Prom: "elastisim_sim_ladder_rung_spawns_total", Help: "ladder queue buckets subdivided into finer rungs",
+		Get: func(s *Snapshot) *uint64 { return &s.Kernel.RungSpawns }},
+	{Name: "solver.solves", Prom: "elastisim_sim_solves_total", Help: "fluid solver recomputations",
+		Get: func(s *Snapshot) *uint64 { return &s.Solver.Solves }},
+	{Name: "solver.solved_activities", Help: "activities the fluid solver re-solved",
+		Get: func(s *Snapshot) *uint64 { return &s.Solver.SolvedActivities }},
+	{Name: "scheduler.invocations", Prom: "elastisim_sim_invocations_total", Help: "scheduling algorithm invocations",
+		Get: func(s *Snapshot) *uint64 { return &s.Scheduler.Invocations }},
+	{Name: "scheduler.elided", Prom: "elastisim_sim_invocations_elided_total", Help: "same-timestamp scheduler invocations batched away",
+		Get: func(s *Snapshot) *uint64 { return &s.Scheduler.Elided }},
+	{Name: "scheduler.applied", Prom: "elastisim_sim_decisions_total", Help: "scheduler decisions that passed validation",
+		Get: func(s *Snapshot) *uint64 { return &s.Scheduler.Applied }},
+	{Name: "scheduler.rejected", Help: "scheduler decisions rejected by validation",
+		Get: func(s *Snapshot) *uint64 { return &s.Scheduler.Rejected }},
+}
+
+// Add folds another snapshot into s: counters sum, high-water marks take
+// the max.
 func (s *Snapshot) Add(o Snapshot) {
-	s.Runs += o.Runs
-	s.Jobs += o.Jobs
-	s.Kernel.Scheduled += o.Kernel.Scheduled
-	s.Kernel.Fired += o.Kernel.Fired
-	s.Kernel.Cancelled += o.Kernel.Cancelled
-	s.Kernel.Recycled += o.Kernel.Recycled
-	if o.Kernel.PeakQueue > s.Kernel.PeakQueue {
-		s.Kernel.PeakQueue = o.Kernel.PeakQueue
+	for _, c := range Counters {
+		dst, v := c.Get(s), *c.Get(&o)
+		if !c.Max {
+			*dst += v
+		} else if v > *dst {
+			*dst = v
+		}
 	}
-	s.Solver.Solves += o.Solver.Solves
-	s.Solver.SolvedActivities += o.Solver.SolvedActivities
-	s.Scheduler.Invocations += o.Scheduler.Invocations
-	s.Scheduler.Elided += o.Scheduler.Elided
-	s.Scheduler.Applied += o.Scheduler.Applied
-	s.Scheduler.Rejected += o.Scheduler.Rejected
 	for k, v := range o.Scheduler.ByKind {
 		if s.Scheduler.ByKind == nil {
 			s.Scheduler.ByKind = map[string]uint64{}
@@ -129,52 +176,15 @@ type DiffRow struct {
 	Change float64 // relative change, B/A - 1; 0 when A == 0
 }
 
-// Diff flattens two snapshots into comparable rows, one per counter, in a
-// stable order. Rows where both sides are zero are omitted.
+// Diff flattens two snapshots into comparable rows: one per Counters row
+// in table order, then the per-kind decision counts sorted by kind, then
+// the machine-dependent wall.* and mem.* rows. Rows where both sides are
+// zero are omitted.
 func Diff(a, b Snapshot) []DiffRow {
-	flat := func(s Snapshot) map[string]float64 {
-		m := map[string]float64{
-			"runs":                     float64(s.Runs),
-			"jobs":                     float64(s.Jobs),
-			"kernel.scheduled":         float64(s.Kernel.Scheduled),
-			"kernel.fired":             float64(s.Kernel.Fired),
-			"kernel.cancelled":         float64(s.Kernel.Cancelled),
-			"kernel.recycled":          float64(s.Kernel.Recycled),
-			"kernel.peak_queue":        float64(s.Kernel.PeakQueue),
-			"solver.solves":            float64(s.Solver.Solves),
-			"solver.solved_activities": float64(s.Solver.SolvedActivities),
-			"scheduler.invocations":    float64(s.Scheduler.Invocations),
-			"scheduler.elided":         float64(s.Scheduler.Elided),
-			"scheduler.applied":        float64(s.Scheduler.Applied),
-			"scheduler.rejected":       float64(s.Scheduler.Rejected),
-			"wall.run_ms":              float64(s.Wall.RunNS) / 1e6,
-			"wall.scheduler_ms":        float64(s.Wall.SchedulerNS) / 1e6,
-			"mem.heap_alloc_bytes":     float64(s.Mem.HeapAllocBytes),
-			"mem.total_allocs":         float64(s.Mem.TotalAllocs),
-		}
-		for k, v := range s.Scheduler.ByKind {
-			m["scheduler.by_kind."+k] = float64(v)
-		}
-		return m
-	}
-	fa, fb := flat(a), flat(b)
-	names := make([]string, 0, len(fa))
-	seen := map[string]bool{}
-	for k := range fa {
-		names = append(names, k)
-		seen[k] = true
-	}
-	for k := range fb {
-		if !seen[k] {
-			names = append(names, k)
-		}
-	}
-	sort.Strings(names)
 	var rows []DiffRow
-	for _, name := range names {
-		va, vb := fa[name], fb[name]
+	add := func(name string, va, vb float64) {
 		if va == 0 && vb == 0 {
-			continue
+			return
 		}
 		row := DiffRow{Name: name, A: va, B: vb}
 		if va != 0 {
@@ -182,5 +192,25 @@ func Diff(a, b Snapshot) []DiffRow {
 		}
 		rows = append(rows, row)
 	}
+	for _, c := range Counters {
+		add(c.Name, float64(*c.Get(&a)), float64(*c.Get(&b)))
+	}
+	var kinds []string
+	for k := range a.Scheduler.ByKind {
+		kinds = append(kinds, k)
+	}
+	for k := range b.Scheduler.ByKind {
+		if _, ok := a.Scheduler.ByKind[k]; !ok {
+			kinds = append(kinds, k)
+		}
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		add("scheduler.by_kind."+k, float64(a.Scheduler.ByKind[k]), float64(b.Scheduler.ByKind[k]))
+	}
+	add("wall.run_ms", float64(a.Wall.RunNS)/1e6, float64(b.Wall.RunNS)/1e6)
+	add("wall.scheduler_ms", float64(a.Wall.SchedulerNS)/1e6, float64(b.Wall.SchedulerNS)/1e6)
+	add("mem.heap_alloc_bytes", float64(a.Mem.HeapAllocBytes), float64(b.Mem.HeapAllocBytes))
+	add("mem.total_allocs", float64(a.Mem.TotalAllocs), float64(b.Mem.TotalAllocs))
 	return rows
 }

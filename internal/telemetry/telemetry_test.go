@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -143,7 +144,7 @@ func TestJSONLRoundtripAndSummary(t *testing.T) {
 func TestSnapshotAddStripDiff(t *testing.T) {
 	a := Snapshot{
 		Runs: 1, Jobs: 10,
-		Kernel:    KernelStats{Scheduled: 100, Fired: 90, Cancelled: 10, Recycled: 5, PeakQueue: 30},
+		Kernel:    KernelStats{Scheduled: 100, Fired: 90, Cancelled: 10, Recycled: 5, PeakQueue: 30, TopTransfers: 4, RungSpawns: 2},
 		Solver:    SolverStats{Solves: 40, SolvedActivities: 200},
 		Scheduler: SchedulerStats{Invocations: 20, Applied: 15, Rejected: 2, ByKind: map[string]uint64{"start": 10, "resize": 5}},
 		Wall:      WallStats{RunNS: 1e6},
@@ -151,7 +152,7 @@ func TestSnapshotAddStripDiff(t *testing.T) {
 	}
 	b := Snapshot{
 		Runs: 2, Jobs: 5,
-		Kernel:    KernelStats{Scheduled: 50, PeakQueue: 45},
+		Kernel:    KernelStats{Scheduled: 50, PeakQueue: 45, TopTransfers: 3},
 		Scheduler: SchedulerStats{ByKind: map[string]uint64{"start": 1, "kill": 3}},
 		Mem:       MemStats{HeapAllocBytes: 2000, TotalAllocs: 10},
 	}
@@ -160,6 +161,9 @@ func TestSnapshotAddStripDiff(t *testing.T) {
 	sum.Add(b)
 	if sum.Runs != 3 || sum.Kernel.Scheduled != 150 || sum.Kernel.PeakQueue != 45 {
 		t.Errorf("Add: got %+v", sum)
+	}
+	if sum.Kernel.TopTransfers != 7 || sum.Kernel.RungSpawns != 2 {
+		t.Errorf("Add ladder: got %+v", sum.Kernel)
 	}
 	if sum.Scheduler.ByKind["start"] != 11 || sum.Scheduler.ByKind["kill"] != 3 {
 		t.Errorf("Add by_kind: got %v", sum.Scheduler.ByKind)
@@ -197,6 +201,82 @@ func TestSnapshotAddStripDiff(t *testing.T) {
 	if _, ok := byName["scheduler.by_kind.kill"]; !ok {
 		t.Error("diff missing scheduler.by_kind.kill (present only on one side)")
 	}
+	if r := byName["kernel.top_transfers"]; r.A != 4 || r.B != 7 {
+		t.Errorf("diff kernel.top_transfers = %+v", r)
+	}
+	if r := byName["kernel.rung_spawns"]; r.A != 2 || r.B != 2 {
+		t.Errorf("diff kernel.rung_spawns = %+v", r)
+	}
+}
+
+// TestDiffRowOrder pins the row order: counters in schema order with the
+// per-kind decision counts sorted inside the scheduler group, and the
+// machine-dependent wall.* and mem.* rows last.
+func TestDiffRowOrder(t *testing.T) {
+	a := Snapshot{
+		Runs: 1, Jobs: 3,
+		Kernel:    KernelStats{Fired: 331, PeakQueue: 5, RungSpawns: 1},
+		Solver:    SolverStats{Solves: 86},
+		Scheduler: SchedulerStats{Invocations: 65, Applied: 5, ByKind: map[string]uint64{"start": 3, "resize": 1}},
+		Wall:      WallStats{RunNS: 662311},
+		Mem:       MemStats{HeapAllocBytes: 309712, TotalAllocs: 4331},
+	}
+	b := a
+	b.Scheduler.ByKind = map[string]uint64{"start": 3, "grant": 1}
+	var got []string
+	for _, r := range Diff(a, b) {
+		got = append(got, r.Name)
+	}
+	want := []string{
+		"runs", "jobs", "kernel.fired", "kernel.peak_queue", "kernel.rung_spawns",
+		"solver.solves", "scheduler.invocations", "scheduler.applied",
+		"scheduler.by_kind.grant", "scheduler.by_kind.resize", "scheduler.by_kind.start",
+		"wall.run_ms", "mem.heap_alloc_bytes", "mem.total_allocs",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("Diff rows\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestCountersCoverSnapshot walks Snapshot's integer fields and requires a
+// Counters row for each deterministic one, so a new counter cannot miss
+// Add, Diff or the session export. Wall and Mem are machine-dependent and
+// handled explicitly; ByKind is a map.
+func TestCountersCoverSnapshot(t *testing.T) {
+	var s Snapshot
+	rows := map[*uint64]string{}
+	names := map[string]bool{}
+	for _, c := range Counters {
+		p := c.Get(&s)
+		if prev, dup := rows[p]; dup {
+			t.Errorf("rows %q and %q read the same field", prev, c.Name)
+		}
+		rows[p] = c.Name
+		if names[c.Name] {
+			t.Errorf("row name %q repeats", c.Name)
+		}
+		names[c.Name] = true
+	}
+	var walk func(v reflect.Value, path string)
+	walk = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, sf := v.Field(i), v.Type().Field(i)
+			name := path + sf.Name
+			switch {
+			case sf.Name == "Wall" || sf.Name == "Mem":
+			case f.Kind() == reflect.Struct:
+				walk(f, name+".")
+			case f.Kind() == reflect.Uint64:
+				if _, ok := rows[f.Addr().Interface().(*uint64)]; !ok {
+					t.Errorf("Snapshot.%s has no Counters row", name)
+				}
+			case f.Kind() == reflect.Map:
+			default:
+				t.Errorf("Snapshot.%s is a %s; counters are uint64", name, f.Kind())
+			}
+		}
+	}
+	walk(reflect.ValueOf(&s).Elem(), "")
 }
 
 func TestAuditLogRoundtrip(t *testing.T) {
